@@ -414,8 +414,14 @@ func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
 		case Status(cmd.Status) == StatusDead && prev != StatusDead:
 			// A death declaration opens a promotion election for the dead
 			// member's own node and for every node it had adopted — all of
-			// them just lost their primary.
-			cp.startElectionLocked(cmd.Node)
+			// them just lost their primary. A name already re-homed is only
+			// the adopter heartbeating on its behalf: its node's primary
+			// lives on at the adopter, so a late death entry for the name
+			// (a suspicion proposed before the promotion was heard) must
+			// not re-elect it onto a second host.
+			if cp.hostOfLocked(cmd.Node) == cmd.Node {
+				cp.startElectionLocked(cmd.Node)
+			}
 			for n, h := range cp.hosts {
 				if h == cmd.Node {
 					cp.startElectionLocked(n)

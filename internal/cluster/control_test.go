@@ -685,3 +685,40 @@ func TestAddLinkValidatesRule(t *testing.T) {
 		t.Fatalf("well-formed rule rejected by validation: %v", err)
 	}
 }
+
+// TestLateDeathOfRehomedNameOpensNoElection: once a promotion re-homed node
+// E onto member A, the name E is only A heartbeating on E's behalf. A death
+// entry for E that was proposed before the promotion was heard must not open
+// a second election, which would re-home E onto another member while A keeps
+// serving it (two primaries, and A's streams for E never re-placed).
+func TestLateDeathOfRehomedNameOpensNoElection(t *testing.T) {
+	fold := func() *ControlPlane {
+		return &ControlPlane{
+			self:      "C",
+			members:   []string{"A", "B", "C", "D", "E"},
+			opts:      ControlPlaneOptions{Replication: ReplicationOptions{K: 2}},
+			view:      map[string]Status{},
+			hosts:     map[string]string{},
+			elections: map[string]map[string]uint64{},
+			replaying: true, // fold only: no bids, no promotions
+		}
+	}
+	dead := wire.Command{Kind: "member", Node: "E", Status: uint8(StatusDead)}
+
+	cp := fold()
+	cp.applyEntry(1, dead)
+	if _, open := cp.elections["E"]; !open {
+		t.Fatal("the death of a self-hosted node's member must open an election for it")
+	}
+
+	cp = fold()
+	cp.hosts["E"] = "A"
+	cp.view["E"] = StatusAlive // the adopter heartbeating on E's behalf
+	cp.applyEntry(1, dead)
+	if _, open := cp.elections["E"]; open {
+		t.Fatal("a late death entry for a re-homed name opened a second election")
+	}
+	if got := cp.hostOfLocked("E"); got != "A" {
+		t.Fatalf("E re-homed to %s, want it to stay at A", got)
+	}
+}

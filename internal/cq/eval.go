@@ -43,19 +43,16 @@ func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
 			return nil, fmt.Errorf("cq: output variable %s not range-restricted in %q", v, c.String())
 		}
 	}
-	seen := make(map[string]bool, len(bindings))
+	seen := relalg.NewTupleSet(len(bindings))
 	out := make([]relalg.Tuple, 0, len(bindings))
 	for _, b := range bindings {
 		t, err := b.Project(outVars)
 		if err != nil {
 			return nil, err
 		}
-		k := t.Key()
-		if seen[k] {
-			continue
+		if seen.Add(t) {
+			out = append(out, t)
 		}
-		seen[k] = true
-		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out, nil
@@ -106,16 +103,16 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 			return len(delta[c.Atoms[order[a]].Rel]) < len(delta[c.Atoms[order[b]].Rel])
 		})
 	}
-	seen := map[string]bool{}
+	var seen relalg.TupleSet
 	var out []relalg.Tuple
 	var cache *joinCache
 	if share {
-		cache = &joinCache{m: map[string][]extension{}}
+		cache = &joinCache{prefixes: map[string]int32{}, m: map[joinKey][]joinEntry{}}
 	}
-	// exclude maps an already-seeded atom's index to its delta tuple keys:
-	// later passes must not bind that atom to its delta (those combinations
-	// were produced when it was the seed).
-	var exclude map[int]map[string]bool
+	// exclude maps an already-seeded atom's index to the set of its delta
+	// tuples: later passes must not bind that atom to its delta (those
+	// combinations were produced when it was the seed).
+	var exclude map[int]*relalg.TupleSet
 	for _, i := range order {
 		seedTuples := delta[c.Atoms[i].Rel]
 		bindings, err := evalSeeded(src, c, i, seedTuples, exclude, cache)
@@ -127,22 +124,19 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 			if err != nil {
 				return nil, err
 			}
-			k := t.Key()
-			if seen[k] {
-				continue
+			if seen.Add(t) {
+				out = append(out, t)
 			}
-			seen[k] = true
-			out = append(out, t)
 		}
 		if adaptive {
 			if exclude == nil {
-				exclude = map[int]map[string]bool{}
+				exclude = map[int]*relalg.TupleSet{}
 			}
-			keys := make(map[string]bool, len(seedTuples))
+			set := relalg.NewTupleSet(len(seedTuples))
 			for _, t := range seedTuples {
-				keys[t.Key()] = true
+				set.Add(t)
 			}
-			exclude[i] = keys
+			exclude[i] = set
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
@@ -152,7 +146,7 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 // evalSeeded runs the pipelined join with atom `seed` restricted to the given
 // tuples, atoms in exclude restricted to their pre-delta extents, and every
 // other atom drawn from its full extent in src.
-func evalSeeded(src Source, c Conjunction, seed int, seedTuples []relalg.Tuple, exclude map[int]map[string]bool, cache *joinCache) ([]Binding, error) {
+func evalSeeded(src Source, c Conjunction, seed int, seedTuples []relalg.Tuple, exclude map[int]*relalg.TupleSet, cache *joinCache) ([]Binding, error) {
 	atom := c.Atoms[seed]
 	bindings := make([]Binding, 0, len(seedTuples))
 	for _, t := range seedTuples {
@@ -168,7 +162,7 @@ func evalSeeded(src Source, c Conjunction, seed int, seedTuples []relalg.Tuple, 
 		bound[v] = true
 	}
 	remainingAtoms := make([]Atom, 0, len(c.Atoms)-1)
-	var excl []map[string]bool
+	var excl []*relalg.TupleSet
 	for i, a := range c.Atoms {
 		if i == seed {
 			continue
@@ -209,14 +203,14 @@ func EvalBindings(src Source, c Conjunction) ([]Binding, error) {
 // joinRemaining drives the pipelined join over the remaining atoms, starting
 // from an existing binding set with the given variables already in scope.
 // excl, when non-nil, runs in lockstep with remainingAtoms and restricts an
-// atom to its pre-delta extent by skipping probed tuples with the listed
-// keys (the semi-naive old/new split).
-func joinRemaining(src Source, remainingAtoms []Atom, excl []map[string]bool, remainingBuiltins []Builtin, bindings []Binding, bound map[string]bool, cache *joinCache) ([]Binding, error) {
+// atom to its pre-delta extent by skipping probed tuples in the listed sets
+// (the semi-naive old/new split).
+func joinRemaining(src Source, remainingAtoms []Atom, excl []*relalg.TupleSet, remainingBuiltins []Builtin, bindings []Binding, bound map[string]bool, cache *joinCache) ([]Binding, error) {
 	for len(remainingAtoms) > 0 {
 		idx := pickNextAtom(src, remainingAtoms, bound)
 		atom := remainingAtoms[idx]
 		remainingAtoms = append(remainingAtoms[:idx], remainingAtoms[idx+1:]...)
-		var skip map[string]bool
+		var skip *relalg.TupleSet
 		if excl != nil {
 			skip = excl[idx]
 			excl = append(excl[:idx], excl[idx+1:]...)
@@ -280,15 +274,34 @@ type extension struct {
 // and the probed values — the binding's join prefix. Bindings agreeing on
 // that prefix, within one pass or across passes, replay the cached
 // extensions instead of re-probing and re-unifying.
+//
+// An entry is keyed by the interned id of its per-expand-call prefix plus
+// the process-local hash of the probed values; the values themselves are
+// stored with the entry and compared on every hit, so a hash collision
+// costs a comparison, never a wrong extension.
 type joinCache struct {
-	m map[string][]extension
+	prefixes map[string]int32 // interned prefix -> id
+	m        map[joinKey][]joinEntry
 }
 
-// keyPrefix builds the per-expand-call half of the cache key — everything
+// joinKey locates the cache entries of one join prefix.
+type joinKey struct {
+	prefix int32
+	hash   uint64 // relalg.Tuple(vals).Hash() of the probed values
+}
+
+// joinEntry is one cached join prefix: the probed values and their
+// extensions.
+type joinEntry struct {
+	vals []relalg.Value
+	exts []extension
+}
+
+// prefixID interns the per-expand-call half of the cache key — everything
 // except the probed values, which vary per binding. The skip set is keyed by
-// identity: each seeded atom's exclusion map is allocated once and reused
+// identity: each seeded atom's exclusion set is allocated once and reused
 // across all later passes.
-func (c *joinCache) keyPrefix(atom Atom, idxPos []int, skip map[string]bool) string {
+func (c *joinCache) prefixID(atom Atom, idxPos []int, skip *relalg.TupleSet) int32 {
 	var b strings.Builder
 	b.WriteString(atom.String())
 	b.WriteByte(0)
@@ -297,8 +310,30 @@ func (c *joinCache) keyPrefix(atom Atom, idxPos []int, skip map[string]bool) str
 	}
 	b.WriteByte(0)
 	fmt.Fprintf(&b, "%p", skip)
-	b.WriteByte(0)
-	return b.String()
+	k := b.String()
+	id, ok := c.prefixes[k]
+	if !ok {
+		id = int32(len(c.prefixes))
+		c.prefixes[k] = id
+	}
+	return id
+}
+
+// get returns the cached extensions of the prefix whose probed values equal
+// vals.
+func (c *joinCache) get(k joinKey, vals []relalg.Value) ([]extension, bool) {
+	for _, e := range c.m[k] {
+		if relalg.Tuple(e.vals).Equal(vals) {
+			return e.exts, true
+		}
+	}
+	return nil, false
+}
+
+// put caches the extensions of one prefix, copying vals (the caller reuses
+// its buffer).
+func (c *joinCache) put(k joinKey, vals []relalg.Value, exts []extension) {
+	c.m[k] = append(c.m[k], joinEntry{vals: append([]relalg.Value(nil), vals...), exts: exts})
 }
 
 // expand joins the current binding set with one atom by probing the
@@ -306,10 +341,10 @@ func (c *joinCache) keyPrefix(atom Atom, idxPos []int, skip map[string]bool) str
 // (constants and variables already in scope). Unlike a per-call hash build,
 // the probe costs nothing when the binding set is small — the semi-naive
 // delta path depends on this to stay O(delta). skip, when non-nil, holds
-// tuple keys this atom must not bind (its own delta, under the old/new
+// the tuples this atom must not bind (its own delta, under the old/new
 // split). cache, when non-nil, shares the probe-and-unify work between
 // bindings with equal join prefixes (see joinCache).
-func expand(src Source, bindings []Binding, atom Atom, skip map[string]bool, bound map[string]bool, cache *joinCache) []Binding {
+func expand(src Source, bindings []Binding, atom Atom, skip *relalg.TupleSet, bound map[string]bool, cache *joinCache) []Binding {
 	rel := src.Rel(atom.Rel)
 	if rel == nil || rel.Len() == 0 {
 		return nil
@@ -331,9 +366,9 @@ func expand(src Source, bindings []Binding, atom Atom, skip map[string]bool, bou
 		}
 	}
 
-	var keyPrefix string
+	var prefix int32
 	if cache != nil {
-		keyPrefix = cache.keyPrefix(atom, idxPos, skip)
+		prefix = cache.prefixID(atom, idxPos, skip)
 	}
 	var out []Binding
 	vals := make([]relalg.Value, len(idxPos))
@@ -356,11 +391,11 @@ func expand(src Source, bindings []Binding, atom Atom, skip map[string]bool, bou
 			continue
 		}
 		if cache != nil {
-			k := keyPrefix + relalg.Tuple(vals).Key()
-			exts, hit := cache.m[k]
+			k := joinKey{prefix: prefix, hash: relalg.Tuple(vals).Hash()}
+			exts, hit := cache.get(k, vals)
 			if !hit {
 				exts = probeExtensions(rel, atom, idxPos, vals, skip, extVars)
-				cache.m[k] = exts
+				cache.put(k, vals, exts)
 			}
 			for _, e := range exts {
 				nb := b.Clone()
@@ -372,7 +407,7 @@ func expand(src Source, bindings []Binding, atom Atom, skip map[string]bool, bou
 			continue
 		}
 		for _, tuple := range rel.Probe(idxPos, vals) {
-			if skip != nil && skip[tuple.Key()] {
+			if skip.Has(tuple) {
 				continue
 			}
 			nb, ok := match(atom, tuple, b)
@@ -388,7 +423,7 @@ func expand(src Source, bindings []Binding, atom Atom, skip map[string]bool, bou
 // probed position (all constants and bound variables) already matches by
 // construction, so the unification only has to place the unbound variables —
 // checking internal consistency where one repeats within the atom.
-func probeExtensions(rel *relalg.Relation, atom Atom, idxPos []int, vals []relalg.Value, skip map[string]bool, extVars []string) []extension {
+func probeExtensions(rel *relalg.Relation, atom Atom, idxPos []int, vals []relalg.Value, skip *relalg.TupleSet, extVars []string) []extension {
 	rep := Binding{}
 	for i, p := range idxPos {
 		if t := atom.Terms[p]; t.IsVar {
@@ -397,7 +432,7 @@ func probeExtensions(rel *relalg.Relation, atom Atom, idxPos []int, vals []relal
 	}
 	var exts []extension
 	for _, tuple := range rel.Probe(idxPos, vals) {
-		if skip != nil && skip[tuple.Key()] {
+		if skip.Has(tuple) {
 			continue
 		}
 		nb, ok := match(atom, tuple, rep)

@@ -1,6 +1,8 @@
 package peer
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -245,5 +247,101 @@ func TestSendErrorsCounted(t *testing.T) {
 	hs.s.send("NO-SUCH-PEER", wire.StatsRequest{})
 	if got := hs.s.Counters().Snapshot().SendErrors; got != before+1 {
 		t.Fatalf("send error not counted: %d -> %d", before, got)
+	}
+}
+
+// randomAck draws an acknowledgment over relations r and s: each relation
+// is covered or not, its base is sometimes left out (it then reads as 0),
+// and ranges may be empty, contiguous with earlier ones, gapped or stale.
+func randomAck(rng *rand.Rand, to string, subID uint64) pendingAck {
+	m := wire.AnswerAck{RuleID: "r", SubID: subID, Seqs: map[string]uint64{}}
+	for _, rel := range []string{"r", "s"} {
+		if rng.Intn(4) == 0 {
+			continue
+		}
+		base := uint64(rng.Intn(8))
+		m.Seqs[rel] = uint64(rng.Intn(10)) // may land at or below base: an empty range
+		if base > 0 || rng.Intn(2) == 0 {
+			if m.Base == nil {
+				m.Base = map[string]uint64{}
+			}
+			m.Base[rel] = base
+		}
+	}
+	return pendingAck{to: to, msg: m}
+}
+
+// applyAcks runs acks through the receiving side's frontier rule, one
+// frontier per subscription, the way handleAnswerAck applies them in
+// arrival order.
+func applyAcks(start map[string]storage.Marks, acks []pendingAck) map[string]storage.Marks {
+	out := map[string]storage.Marks{}
+	for k, f := range start {
+		out[k] = f.Clone()
+	}
+	for _, a := range acks {
+		k := fmt.Sprintf("%s/%d", a.to, a.msg.SubID)
+		if out[k] == nil {
+			out[k] = storage.Marks{}
+		}
+		extendFrontier(out[k], a.msg.Base, a.msg.Seqs)
+	}
+	return out
+}
+
+// TestMergeAcksMatchesSequentialApplication is mergeAcks' defining
+// property: from any starting frontiers, the merged acks advance every
+// subscription's frontier exactly as far as the constituent acks applied
+// in order — never past a gap, never short of a contiguous run.
+func TestMergeAcksMatchesSequentialApplication(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		var in []pendingAck
+		for n := 2 + rng.Intn(5); n > 0; n-- {
+			in = append(in, randomAck(rng, []string{"A", "B"}[rng.Intn(2)], uint64(1+rng.Intn(2))))
+		}
+		start := map[string]storage.Marks{}
+		for _, k := range []string{"A/1", "A/2", "B/1", "B/2"} {
+			start[k] = storage.Marks{"r": uint64(rng.Intn(8)), "s": uint64(rng.Intn(8))}
+		}
+		before := fmt.Sprint(in)
+		merged := mergeAcks(in)
+		if got := fmt.Sprint(in); got != before {
+			t.Fatalf("trial %d: mergeAcks mutated its input:\n%s\n%s", trial, before, got)
+		}
+		want, got := applyAcks(start, in), applyAcks(start, merged)
+		if fmt.Sprint(want) != fmt.Sprint(got) {
+			t.Fatalf("trial %d: from %v\nacks   %v\nmerged %v\nsequential frontiers %v\nmerged frontiers     %v",
+				trial, start, in, merged, want, got)
+		}
+	}
+}
+
+// TestMergeAcksFoldsContiguousRanges pins the case the merge exists for —
+// one subscription's consecutive answers earn one ack — including the first
+// answer's range, whose base 0 is implied by its absence, and a relation
+// only the later ack covers.
+func TestMergeAcksFoldsContiguousRanges(t *testing.T) {
+	in := []pendingAck{
+		{to: "H", msg: wire.AnswerAck{RuleID: "r", SubID: 1, Seqs: map[string]uint64{"a": 1}}},
+		{to: "H", msg: wire.AnswerAck{RuleID: "r", SubID: 1, Base: map[string]uint64{"a": 1}, Seqs: map[string]uint64{"a": 3}}},
+		{to: "H", msg: wire.AnswerAck{RuleID: "r", SubID: 1, Base: map[string]uint64{"a": 3, "b": 2}, Seqs: map[string]uint64{"a": 4, "b": 5}}},
+	}
+	out := mergeAcks(in)
+	if len(out) != 1 {
+		t.Fatalf("contiguous acks merged into %d acks, want 1: %v", len(out), out)
+	}
+	m := out[0].msg
+	if m.Base["a"] != 0 || m.Seqs["a"] != 4 || m.Base["b"] != 2 || m.Seqs["b"] != 5 {
+		t.Fatalf("merged range a=(%d,%d] b=(%d,%d], want a=(0,4] b=(2,5]", m.Base["a"], m.Seqs["a"], m.Base["b"], m.Seqs["b"])
+	}
+	f := storage.Marks{"b": 2}
+	if !extendFrontier(f, m.Base, m.Seqs) || f["a"] != 4 || f["b"] != 5 {
+		t.Fatalf("merged ack left the frontier at %v, want a=4 b=5", f)
+	}
+	// A gap keeps the later ack separate, so the frontier stops before it.
+	gapped := append(in[:1:1], pendingAck{to: "H", msg: wire.AnswerAck{RuleID: "r", SubID: 1, Base: map[string]uint64{"a": 2}, Seqs: map[string]uint64{"a": 3}}})
+	if out := mergeAcks(gapped); len(out) != 2 {
+		t.Fatalf("gapped acks merged into %d acks, want 2: %v", len(out), out)
 	}
 }

@@ -182,11 +182,11 @@ type subscription struct {
 	epoch        uint64
 	conj         cq.Conjunction
 	cols         []string
-	sent         map[string]bool // tuple keys already shipped (delta mode, semi-naive off)
-	marks        storage.Marks   // in-flight frontier (delta mode, semi-naive on)
-	acked        storage.Marks   // receipt-confirmed frontier (contiguous ack extension)
-	ackedDurable storage.Marks   // durability-confirmed frontier (Durable acks only; persisted)
-	primed       bool            // full evaluation done; marks are authoritative
+	sent         *relalg.TupleSet // tuples already shipped (delta mode, semi-naive off)
+	marks        storage.Marks    // in-flight frontier (delta mode, semi-naive on)
+	acked        storage.Marks    // receipt-confirmed frontier (contiguous ack extension)
+	ackedDurable storage.Marks    // durability-confirmed frontier (Durable acks only; persisted)
+	primed       bool             // full evaluation done; marks are authoritative
 
 	lastInc     uint64    // dependent incarnation of the last carried query
 	lastSent    time.Time // last answer carrying a frontier
@@ -213,10 +213,11 @@ type ackWork struct {
 func (w ackWork) empty() bool { return len(w.parts) == 0 && len(w.acks) == 0 && !w.dirty }
 
 // partResult accumulates the result set received for one body part of a
-// rule (multi-source rules join their parts at the head node).
+// rule (multi-source rules join their parts at the head node), in arrival
+// order.
 type partResult struct {
 	cols   []string
-	tuples map[string]relalg.Tuple
+	tuples *relalg.TupleSet
 }
 
 // discWave is the per-wave discovery state (A2–A3): the spanning-tree echo
@@ -419,7 +420,7 @@ func (p *Peer) applyRestore(st *wal.State) {
 			} else {
 				// The legacy sent-set is not persisted: the first re-answer
 				// re-ships the full result and receivers deduplicate.
-				sub.sent = map[string]bool{}
+				sub.sent = &relalg.TupleSet{}
 			}
 		}
 		p.subSeq++
@@ -435,9 +436,9 @@ func (p *Peer) applyRestore(st *wal.State) {
 			byPart = map[string]*partResult{}
 			p.parts[rp.RuleID] = byPart
 		}
-		pr := &partResult{cols: append([]string(nil), rp.Cols...), tuples: make(map[string]relalg.Tuple, len(rp.Tuples))}
+		pr := &partResult{cols: append([]string(nil), rp.Cols...), tuples: relalg.NewTupleSet(len(rp.Tuples))}
 		for _, t := range rp.Tuples {
-			pr.tuples[t.Key()] = t
+			pr.tuples.Add(t)
 		}
 		byPart[rp.Part] = pr
 	}
@@ -528,16 +529,12 @@ func (p *Peer) DurableState() wal.State {
 		sort.Strings(partNames)
 		for _, part := range partNames {
 			pr := p.parts[id][part]
-			keys := make([]string, 0, len(pr.tuples))
-			for k := range pr.tuples {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			ps := wal.PartState{RuleID: id, Part: part, Cols: append([]string(nil), pr.cols...)}
-			for _, k := range keys {
-				ps.Tuples = append(ps.Tuples, pr.tuples[k])
-			}
-			st.Parts = append(st.Parts, ps)
+			st.Parts = append(st.Parts, wal.PartState{
+				RuleID: id,
+				Part:   part,
+				Cols:   append([]string(nil), pr.cols...),
+				Tuples: append([]relalg.Tuple(nil), pr.tuples.All()...),
+			})
 		}
 	}
 	return st
@@ -850,8 +847,12 @@ func (p *Peer) applyAckWork(batch []ackWork) {
 // batched frame (or a pipelined batch of frames) carrying several answers of
 // one subscription earns a single AnswerAck whose frontier covers them all —
 // the receipt and durable frontiers extend once per batch, not once per
-// answer. Acks for distinct subscriptions pass through untouched; order
-// among first occurrences is preserved.
+// answer. A merged ack advances every frontier exactly as far as its
+// constituents applied in order would; a later ack that cannot fold into the
+// earlier one that way (see foldable) stays a separate ack behind it, and
+// the subscription's later acks fold into that one instead. Acks for
+// distinct subscriptions pass through untouched; order among first
+// occurrences is preserved.
 func mergeAcks(in []pendingAck) []pendingAck {
 	if len(in) < 2 {
 		return in
@@ -861,40 +862,75 @@ func mergeAcks(in []pendingAck) []pendingAck {
 		ruleID string
 		subID  uint64
 	}
-	idx := map[ackKey]int{}
+	last := map[ackKey]int{}
 	out := make([]pendingAck, 0, len(in))
 	for _, a := range in {
 		k := ackKey{to: a.to, ruleID: a.msg.RuleID, subID: a.msg.SubID}
-		i, seen := idx[k]
-		if !seen {
-			// Clone the maps: the merged ack must not mutate frontier maps
-			// shared with the answers they were built from.
-			c := a
-			c.msg.Base = cloneSeqMap(a.msg.Base)
-			c.msg.Seqs = cloneSeqMap(a.msg.Seqs)
-			idx[k] = len(out)
-			out = append(out, c)
+		if i, seen := last[k]; seen && foldable(out[i].msg, a.msg) {
+			foldAck(&out[i].msg, a.msg)
 			continue
 		}
-		m := &out[i].msg
-		for rel, seq := range a.msg.Seqs {
-			if cur, ok := m.Seqs[rel]; !ok || seq > cur {
-				if m.Seqs == nil {
-					m.Seqs = map[string]uint64{}
-				}
-				m.Seqs[rel] = seq
-			}
-		}
-		for rel, base := range a.msg.Base {
-			if cur, ok := m.Base[rel]; !ok || base < cur {
-				if m.Base == nil {
-					m.Base = map[string]uint64{}
-				}
-				m.Base[rel] = base
-			}
-		}
+		// Clone the maps: the merged ack must not mutate frontier maps
+		// shared with the answers they were built from.
+		c := a
+		c.msg.Base = cloneSeqMap(a.msg.Base)
+		c.msg.Seqs = cloneSeqMap(a.msg.Seqs)
+		last[k] = len(out)
+		out = append(out, c)
 	}
 	return out
+}
+
+// foldable reports whether ack b, applied after ack a, can merge into a
+// without changing what either does to a frontier under extendFrontier. Per
+// relation the pair must be one range: either side moves nothing there (its
+// end is at or below its base; a missing base reads as 0), or b starts
+// within a's range (b's base ≤ a's end) and either extends it or lies inside
+// it. A gap between the ranges, or an older range arriving after a newer
+// one, cannot be expressed as one range.
+func foldable(a, b wire.AnswerAck) bool {
+	for rel, bs := range b.Seqs {
+		as, ok := a.Seqs[rel]
+		if !ok {
+			continue
+		}
+		ab, bb := a.Base[rel], b.Base[rel]
+		switch {
+		case as <= ab || bs <= bb:
+			// one side moves nothing here
+		case bb > as:
+			return false // gap between the ranges
+		case bs <= as && bb < ab:
+			return false // an older range after a newer one
+		}
+	}
+	return true
+}
+
+// foldAck merges ack b into m, which foldable(m, b) accepted: per relation
+// the union of the two ranges, or the moving one when the other moves
+// nothing. Every base is written explicitly, so a base 0 that m only
+// implied survives the fold.
+func foldAck(m *wire.AnswerAck, b wire.AnswerAck) {
+	for rel, bs := range b.Seqs {
+		bb := b.Base[rel]
+		as, ok := m.Seqs[rel]
+		ab := m.Base[rel]
+		if bs <= bb {
+			continue // b moves nothing here
+		}
+		if m.Seqs == nil {
+			m.Seqs = map[string]uint64{}
+		}
+		if m.Base == nil {
+			m.Base = map[string]uint64{}
+		}
+		if !ok || as <= ab {
+			m.Seqs[rel], m.Base[rel] = bs, bb // m moves nothing here
+			continue
+		}
+		m.Seqs[rel], m.Base[rel] = max(as, bs), min(ab, bb)
+	}
 }
 
 func cloneSeqMap(in map[string]uint64) map[string]uint64 {

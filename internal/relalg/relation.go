@@ -12,62 +12,57 @@ import (
 // sequence number, which subscribers use as a high-water mark to extract
 // deltas (the "delta optimization" of the paper). Relations are not safe for
 // concurrent use; the owning storage.DB serialises access.
+//
+// Duplicate elimination goes through the log's TupleSet: a process-local
+// tuple hash, confirmed with Tuple.Equal on every hit, so Contains and a
+// duplicate Insert build no key string and do not allocate.
 type Relation struct {
 	schema Schema
-	index  map[string]int // tuple key -> position in log
-	log    []Tuple        // insertion order; seq number = position + 1
+	log    TupleSet // insertion order (seq number = position + 1), hash-indexed
 
-	// posIdx maps, per attribute position, a value key to the log positions
-	// holding that value there. It is built lazily on the first Probe and
-	// maintained incrementally by Insert afterwards; pmu serialises the
-	// build against concurrent probes (the log itself follows the package's
-	// single-writer discipline).
+	// posIdx maps, per attribute position, a value to the log positions
+	// holding that value there (Value is comparable, so it is its own map
+	// key). It is built lazily on the first Probe and maintained
+	// incrementally by Insert afterwards; pmu serialises the build against
+	// concurrent probes (the log itself follows the package's single-writer
+	// discipline).
 	pmu    sync.Mutex
-	posIdx []map[string][]int
+	posIdx []map[Value][]int32
 }
 
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(schema Schema) *Relation {
-	return &Relation{
-		schema: schema,
-		index:  make(map[string]int),
-	}
+	return &Relation{schema: schema}
 }
 
 // Schema returns the relation schema.
 func (r *Relation) Schema() Schema { return r.schema }
 
 // Len returns the number of (distinct) tuples.
-func (r *Relation) Len() int { return len(r.log) }
+func (r *Relation) Len() int { return r.log.Len() }
 
 // Seq returns the current high-water mark: the sequence number of the most
 // recently inserted tuple (0 when empty).
-func (r *Relation) Seq() uint64 { return uint64(len(r.log)) }
+func (r *Relation) Seq() uint64 { return uint64(r.log.Len()) }
 
 // Contains reports whether the exact tuple is present.
-func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.index[t.Key()]
-	return ok
-}
+func (r *Relation) Contains(t Tuple) bool { return r.log.Has(t) }
 
 // Insert adds t if not already present, returning true when the relation
-// changed. The tuple's arity must match the schema.
+// changed. The relation stores its own copy of t. The tuple's arity must
+// match the schema.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != r.schema.Arity() {
 		return false, fmt.Errorf("relalg: arity mismatch inserting %d-tuple into %s", len(t), r.schema)
 	}
-	k := t.Key()
-	if _, ok := r.index[k]; ok {
+	if !r.log.add(t, true) {
 		return false, nil
 	}
-	r.index[k] = len(r.log)
-	r.log = append(r.log, t.Clone())
 	r.pmu.Lock()
 	if r.posIdx != nil {
-		pos := len(r.log) - 1
-		for i, v := range r.log[pos] {
-			vk := v.Key()
-			r.posIdx[i][vk] = append(r.posIdx[i][vk], pos)
+		pos := len(r.log.tuples) - 1
+		for i, v := range r.log.tuples[pos] {
+			r.posIdx[i][v] = append(r.posIdx[i][v], int32(pos))
 		}
 	}
 	r.pmu.Unlock()
@@ -80,14 +75,13 @@ func (r *Relation) ensurePosIdxLocked() {
 	if r.posIdx != nil {
 		return
 	}
-	idx := make([]map[string][]int, r.schema.Arity())
+	idx := make([]map[Value][]int32, r.schema.Arity())
 	for i := range idx {
-		idx[i] = make(map[string][]int)
+		idx[i] = make(map[Value][]int32)
 	}
-	for pos, t := range r.log {
+	for pos, t := range r.log.tuples {
 		for i, v := range t {
-			vk := v.Key()
-			idx[i][vk] = append(idx[i][vk], pos)
+			idx[i][v] = append(idx[i][v], int32(pos))
 		}
 	}
 	r.posIdx = idx
@@ -97,11 +91,12 @@ func (r *Relation) ensurePosIdxLocked() {
 // positions, in insertion order. It walks the smallest per-position postings
 // list and verifies the remaining constraints, so its cost is proportional to
 // the fan-out of the most selective position rather than to the relation
-// size. With no positions it returns every tuple (aliasing the log, like
-// All); positions outside the schema arity match nothing.
+// size; the result slice is its only allocation. With no positions it
+// returns every tuple (aliasing the log, like All); positions outside the
+// schema arity match nothing.
 func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
 	if len(positions) == 0 {
-		return r.log
+		return r.log.tuples
 	}
 	arity := r.schema.Arity()
 	for _, p := range positions {
@@ -113,9 +108,9 @@ func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
 	defer r.pmu.Unlock()
 	r.ensurePosIdxLocked()
 	best := 0
-	bestList := r.posIdx[positions[0]][vals[0].Key()]
+	bestList := r.posIdx[positions[0]][vals[0]]
 	for i := 1; i < len(positions) && len(bestList) > 0; i++ {
-		if list := r.posIdx[positions[i]][vals[i].Key()]; len(list) < len(bestList) {
+		if list := r.posIdx[positions[i]][vals[i]]; len(list) < len(bestList) {
 			best, bestList = i, list
 		}
 	}
@@ -124,7 +119,7 @@ func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
 	}
 	out := make([]Tuple, 0, len(bestList))
 	for _, pos := range bestList {
-		t := r.log[pos]
+		t := r.log.tuples[pos]
 		ok := true
 		for i, p := range positions {
 			if i != best && t[p] != vals[i] {
@@ -170,35 +165,31 @@ func (r *Relation) SubsumedByExisting(t Tuple) bool {
 
 // All returns the tuples in insertion order. The returned slice aliases the
 // log; callers must not modify it or the tuples.
-func (r *Relation) All() []Tuple { return r.log }
+func (r *Relation) All() []Tuple { return r.log.tuples }
 
 // Since returns the tuples inserted after the given high-water mark, in
 // insertion order, along with the new mark.
 func (r *Relation) Since(mark uint64) ([]Tuple, uint64) {
-	if mark > uint64(len(r.log)) {
-		mark = uint64(len(r.log))
+	n := uint64(len(r.log.tuples))
+	if mark > n {
+		mark = n
 	}
-	return r.log[mark:], uint64(len(r.log))
+	return r.log.tuples[mark:], n
 }
 
 // Sorted returns the tuples in canonical (Tuple.Compare) order; a fresh
 // slice, safe to retain.
 func (r *Relation) Sorted() []Tuple {
-	out := make([]Tuple, len(r.log))
-	copy(out, r.log)
+	out := make([]Tuple, len(r.log.tuples))
+	copy(out, r.log.tuples)
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
-// Clone deep-copies the relation (schema shared, tuples copied).
+// Clone deep-copies the relation (schema shared, tuples copied). The hash
+// index is copied as is; the per-position index is rebuilt on demand.
 func (r *Relation) Clone() *Relation {
-	c := NewRelation(r.schema)
-	c.log = make([]Tuple, len(r.log))
-	for i, t := range r.log {
-		c.log[i] = t.Clone()
-		c.index[t.Key()] = i
-	}
-	return c
+	return &Relation{schema: r.schema, log: r.log.clone()}
 }
 
 // Equal reports whether two relations hold exactly the same tuple sets
@@ -207,8 +198,8 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	for k := range r.index {
-		if _, ok := o.index[k]; !ok {
+	for _, t := range r.log.tuples {
+		if !o.log.Has(t) {
 			return false
 		}
 	}

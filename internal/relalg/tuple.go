@@ -2,6 +2,7 @@ package relalg
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -11,9 +12,11 @@ import (
 // Tuple after handing it to a Relation.
 type Tuple []Value
 
-// Key returns a canonical injective encoding of the tuple, usable as a map
-// key. Each component key is length-prefixed, so arbitrary payload bytes
-// (including separators) cannot cause collisions.
+// Key returns a canonical injective encoding of the tuple. Each component key
+// is length-prefixed, so arbitrary payload bytes (including separators)
+// cannot cause collisions. The bytes are stable across processes: Skolem
+// null labels embed them and are stored in WALs, so the encoding must never
+// change. In-memory sets use Hash instead.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for _, v := range t {
@@ -23,6 +26,18 @@ func (t Tuple) Key() string {
 		b.WriteString(k)
 	}
 	return b.String()
+}
+
+// Hash returns the tuple's process-local 64-bit hash, folding the component
+// hashes in order; it does not allocate. Equal tuples hash equally; unequal
+// tuples may collide, so every hit must be confirmed with Equal. Like
+// Value.Hash it is seeded per process and never leaves it.
+func (t Tuple) Hash() uint64 {
+	h := uint64(len(t))
+	for _, v := range t {
+		h = mix64(bits.RotateLeft64(h, 27) ^ v.Hash())
+	}
+	return h
 }
 
 // String renders the tuple as (v1, v2, ...).

@@ -3,11 +3,21 @@
 // relations with duplicate elimination, append logs for delta extraction, and
 // tuple-level homomorphism/subsumption checks used by the chase-style local
 // update step.
+//
+// Tuples have two identities. Tuple.Key is the canonical, injective byte
+// encoding: it is stable across processes and is what Skolem null labels,
+// WAL records and wire payloads are built from. Tuple.Hash is a 64-bit
+// process-local identity, seeded per process via hash/maphash, used by the
+// in-memory dedup sets and indexes (TupleSet, Relation) so the hot paths
+// never build key strings. Hashes are never persisted, sent or used in
+// labels, and a hash hit is always confirmed with Tuple.Equal, so a
+// collision costs one comparison, never a wrong answer.
 package relalg
 
 import (
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"strconv"
 	"strings"
 )
@@ -163,8 +173,45 @@ func asInt(v Value) (int64, bool) {
 	return 0, false
 }
 
+// hashSeed seeds every Value/Tuple hash of this process. It is drawn fresh
+// per process, so hashes must never leave it (see the package doc).
+var hashSeed = maphash.MakeSeed()
+
+// Per-kind salts keep a string constant, a null with the same label and an
+// int apart before the collision check has to.
+var (
+	intSalt  = maphash.String(hashSeed, "relalg.int")
+	nullSalt = maphash.String(hashSeed, "relalg.null")
+)
+
+// mix64 is a 64-bit finaliser (splitmix64): it spreads every input bit over
+// the output, so folding component hashes stays well distributed.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// Hash returns the value's process-local 64-bit hash; it does not allocate.
+// Equal values hash equally; unequal values may collide, so callers confirm
+// hits with Equal. The hash is seeded per process and must never be
+// persisted, sent or used in a label — Key is the stable identity.
+func (v Value) Hash() uint64 {
+	switch v.kind {
+	case KindInt:
+		return mix64(uint64(v.num) ^ intSalt)
+	case KindNull:
+		return maphash.String(hashSeed, v.str) ^ nullSalt
+	default:
+		return maphash.String(hashSeed, v.str)
+	}
+}
+
 // Key returns a canonical encoding of the value usable as a map key. The
-// encoding is injective across kinds.
+// encoding is injective across kinds and stable across processes.
 func (v Value) Key() string {
 	switch v.kind {
 	case KindInt:

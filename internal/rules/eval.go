@@ -44,16 +44,14 @@ func JoinParts(r Rule, parts map[string]PartTuples) []relalg.Tuple {
 		bindings = kept
 	}
 	exportVars := r.ExportVars()
-	seen := map[string]bool{}
+	var seen relalg.TupleSet
 	var out []relalg.Tuple
 	for _, bind := range bindings {
 		t, err := bind.Project(exportVars)
 		if err != nil {
 			continue // defensive: part columns missing an export variable
 		}
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
+		if seen.Add(t) {
 			out = append(out, t)
 		}
 	}

@@ -102,6 +102,29 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestSkolemizeLabelGolden pins the exact bytes of Skolem null labels. They
+// are stored in WALs and re-derived after a restart, so a recovered store
+// only deduplicates against fresh derivations while the label — and the
+// Tuple.Key encoding inside it — stays byte-identical.
+func TestSkolemizeLabelGolden(t *testing.T) {
+	cases := []struct {
+		rule, v string
+		bind    relalg.Tuple
+		want    string
+	}{
+		{"r1", "V", relalg.Tuple{relalg.S("a:b"), relalg.I(7)}, "d1|r1|V|4:sa:b2:i7"},
+		{"r1", "V", relalg.Tuple{relalg.S("x|y"), relalg.I(-3), relalg.S("")}, "d1|r1|V|4:sx|y3:i-31:s"},
+		{"r2", "W", relalg.Tuple{relalg.Null("d1|r1|V|2:sa")}, "d2|r2|W|13:nd1|r1|V|2:sa"},
+		{"r3", "Z", relalg.Tuple{relalg.Null("ext"), relalg.S("3:sq")}, "d2|r3|Z|4:next5:s3:sq"},
+	}
+	for _, c := range cases {
+		got := Skolemize(c.rule, c.v, nil, c.bind)
+		if !got.IsNull() || got.NullLabel() != c.want {
+			t.Errorf("Skolemize(%s, %s, %v) = %q, want null %q", c.rule, c.v, c.bind, got.Quoted(), c.want)
+		}
+	}
+}
+
 func TestSkolemizeDeterministicAndDepth(t *testing.T) {
 	bind := relalg.Tuple{relalg.S("k1"), relalg.S("p1")}
 	n1 := Skolemize("r9", "V", []string{"K", "P"}, bind)
