@@ -2,9 +2,9 @@
 // evaluation (experiments E1–E13; see DESIGN.md for the index) plus the
 // engine ablations that go beyond it (E14: semi-naive delta evaluation;
 // E15: durable backend at each fsync policy vs in-memory; E16: batched
-// wire protocol, frames per tuple with and without a batch window; E17:
-// replicated control plane, driver kill and agreed fail-over recovery;
-// E18: k-way replication, primary kill, mirror promotion and the
+// wire protocol, frames per tuple and burst wall time, unbatched vs
+// batched; E17: replicated control plane, driver kill and agreed fail-over
+// recovery; E18: k-way replication, primary kill, mirror promotion and the
 // under-replication window; E19: serving fan-out, concurrent
 // insert/watch/query load with shared delta extraction).
 //

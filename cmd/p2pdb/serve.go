@@ -30,7 +30,7 @@ var (
 	metricsAddr  = flag.String("metrics", "", "serve observability endpoint (host:port; empty = off)")
 	hbEvery      = flag.Duration("hb", time.Second, "cluster heartbeat cadence")
 	suspectAfter = flag.Duration("suspect", 0, "silence window before suspecting a member (0 = 3×hb)")
-	batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "coalesce answers/acks per member within this window into batched frames (0 = one frame per message)")
+	batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "batch answers/acks per member into one frame per send burst, flushed as soon as the burst drains; the duration only bounds how long a running handler may hold its sends (0 = one frame per message)")
 	batchBytes   = flag.Int("batch-bytes", 64<<10, "flush a batch early past this payload size")
 	useConsensus = flag.Bool("consensus", true, "run the replicated control plane (agreed member view, log-routed control verbs, update-driver fail-over)")
 	replicasK    = flag.Int("replicas", 0, "mirror each node's extensional relations on this many other members, with promotion fail-over (0 = off; needs -consensus)")

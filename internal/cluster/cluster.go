@@ -111,10 +111,12 @@ type Options struct {
 	OutboxSize int
 	// BatchWindow, when positive, batches the wire protocol: Answers and
 	// AnswerAcks bound for the same member coalesce into wire.AnswerBatch
-	// frames within this window, and pending heartbeats piggyback on those
-	// frames instead of paying their own (transport.NewBatcher, shared by
-	// the hosted peer's traffic and the membership plane). Zero keeps one
-	// frame per message.
+	// frames, and pending heartbeats piggyback on those frames instead of
+	// paying their own (transport.NewBatcher, shared by the hosted peer's
+	// traffic and the membership plane). A frame ships as soon as its send
+	// burst drains, so batching costs no latency; the duration only bounds
+	// how long a still-running handler may hold back the sends it made.
+	// Zero keeps one frame per message.
 	BatchWindow time.Duration
 	// BatchBytes flushes a batch early once its payload estimate reaches
 	// this size (default 64KiB). Ignored without BatchWindow.
@@ -229,7 +231,10 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		c.members[node] = &member{addr: addr, status: StatusBook}
 		tcp.SetPeerAddr(node, addr)
 	}
-	if err := tcp.Register(self, c.dispatch); err != nil {
+	// Through out: the Batcher corks the sends a dispatch makes until it
+	// returns, so one inbound frame's reaction leaves as one frame per
+	// destination.
+	if err := c.out.Register(self, c.dispatch); err != nil {
 		_ = tcp.Close()
 		return nil, err
 	}
@@ -603,9 +608,9 @@ func (c *Transport) heartbeatLoop() {
 			if tk.join {
 				c.sendJoin(tk.name)
 			} else {
-				// Through transmit/out: with batching on, the heartbeat waits
-				// one window for a data frame to ride on (latest wins when
-				// several queue) instead of always paying its own frame.
+				// Through transmit/out: with batching on, the heartbeat rides
+				// any data frame held for the member in the same burst
+				// (latest wins when several queue) instead of paying its own.
 				_ = c.transmit(c.self, tk.name, wire.Heartbeat{Node: c.self, Addr: addr})
 				// Heartbeats on behalf of adopted peers assert this process's
 				// address under their names — the re-homing signal.
@@ -685,7 +690,7 @@ func (c *Transport) registerAlias(node string, h transport.Handler) error {
 	m.lastSeen = time.Now()
 	m.addr = c.tcp.Addr()
 	c.mu.Unlock()
-	if err := c.tcp.Register(node, func(env wire.Envelope) { c.dispatchAlias(node, env) }); err != nil {
+	if err := c.out.Register(node, func(env wire.Envelope) { c.dispatchAlias(node, env) }); err != nil {
 		c.mu.Lock()
 		delete(c.aliases, node)
 		c.mu.Unlock()

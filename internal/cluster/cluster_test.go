@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -34,11 +35,18 @@ func testCtx(t *testing.T) context.Context {
 // build of the definition, announced into the cluster.
 func startMember(t *testing.T, defText, node string, book map[string]string, dataDir string) (*core.Network, *Transport) {
 	t.Helper()
+	return startMemberOpts(t, defText, node, book, dataDir, fastOpts())
+}
+
+// startMemberOpts is startMember with explicit membership options (e.g. a
+// batched wire protocol).
+func startMemberOpts(t *testing.T, defText, node string, book map[string]string, dataDir string, opts Options) (*core.Network, *Transport) {
+	t.Helper()
 	def, err := rules.ParseNetwork(defText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(node, "127.0.0.1:0", book, fastOpts())
+	tr, err := New(node, "127.0.0.1:0", book, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +335,27 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var m NodeMetrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Node != "C" || m.Tuples != 2 || m.Addr == "" {
 		t.Fatalf("metrics = %+v", m)
+	}
+	// The Batcher's background flush failures are exported next to its
+	// frame count, so a rejected batched frame is visible to an operator.
+	var raw map[string]any
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"wire_frames", "flush_errors"} {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("metrics JSON lacks %q: %s", key, body)
+		}
 	}
 	if m.WalSeq == 0 {
 		t.Error("wal_seq must reflect the seeded appends")

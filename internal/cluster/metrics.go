@@ -40,6 +40,7 @@ type NodeMetrics struct {
 	OutboxDrops uint64         `json:"outbox_drops"`     // frames dropped on outbox overflow
 	OutboxErrs  uint64         `json:"outbox_errs"`      // frames lost to write/dial errors
 	WireFrames  uint64         `json:"wire_frames"`      // frames shipped (batched protocol; 0 unbatched)
+	FlushErrs   uint64         `json:"flush_errors"`     // batched frames the transport rejected on flush
 	Coalesced   uint64         `json:"frames_coalesced"` // messages that shared a frame instead of paying their own
 	PiggyAcks   uint64         `json:"acks_piggybacked"` // acks that rode in a batched frame
 	PiggyBeats  uint64         `json:"beats_piggybacked"`
@@ -120,6 +121,7 @@ func CollectNodeMetrics(n *core.Network, tr *Transport, cp *ControlPlane, node s
 	m.OutboxDrops, m.OutboxErrs = tr.TCP().OutboxStats()
 	if bs, ok := tr.BatchStats(); ok {
 		m.WireFrames = bs.Frames
+		m.FlushErrs = bs.FlushErrors
 		m.Coalesced = bs.Coalesced
 		m.PiggyAcks = bs.PiggybackedAcks
 		m.PiggyBeats = bs.PiggybackedBeats

@@ -178,3 +178,65 @@ func TestRemoteWatchLiveDeltaAfterPrime(t *testing.T) {
 		t.Fatal("token empty after confirmed delta")
 	}
 }
+
+// TestRemoteWatchBatchedBurstExactlyOnce runs the watch stream over batched
+// transports on both ends: a burst of inserts, whose WatchDeltas the
+// member's Batcher may pack into shared frames, must reach the watcher
+// exactly once each.
+func TestRemoteWatchBatchedBurstExactlyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("remote watch skipped in -short mode")
+	}
+	def, err := rules.ParseNetwork(watchNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched := fastOpts()
+	batched.BatchWindow = 2 * time.Millisecond
+	n, tr := startMemberOpts(t, watchNet, "A", map[string]string{}, "", batched)
+	defer n.Close()
+	coordOpts := fastCoordOpts()
+	coordOpts.Membership = batched
+	coord, err := NewCoordinator(def, "127.0.0.1:0", map[string]string{"A": tr.Addr()}, coordOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx := testCtx(t)
+	if err := coord.WaitMembers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	w, err := coord.Watch("A", "a(X,Y)", []string{"X", "Y"}, WatchOptions{Policy: "block"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if d, err := w.Next(ctx); err != nil || !d.Prime || len(d.Tuples) != 0 {
+		t.Fatalf("empty prime expected, got %+v err=%v", d, err)
+	}
+	const burst = 50
+	for i := 0; i < burst; i++ {
+		if _, err := n.Peer("A").InsertLocal("a", relalg.Tuple{relalg.S("x"), relalg.I(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]int{}
+	for got := 0; got < burst; {
+		d, err := w.Next(ctx)
+		if err != nil {
+			t.Fatalf("after %d of %d tuples: %v", got, burst, err)
+		}
+		for _, tup := range d.Tuples {
+			seen[tup.Key()]++
+			got++
+		}
+	}
+	for i := 0; i < burst; i++ {
+		if k := (relalg.Tuple{relalg.S("x"), relalg.I(int64(i))}).Key(); seen[k] != 1 {
+			t.Errorf("tuple %d delivered %d times, want exactly once", i, seen[k])
+		}
+	}
+	if bs, ok := tr.BatchStats(); !ok || bs.Frames == 0 {
+		t.Fatalf("member shipped no batched frames (ok=%v, %+v)", ok, bs)
+	}
+}

@@ -103,11 +103,13 @@ type Options struct {
 	ResendEvery time.Duration
 	// BatchWindow, when positive, wraps the transport in a Batcher
 	// (transport.NewBatcher): Answers and AnswerAcks bound for the same peer
-	// coalesce into wire.AnswerBatch frames within this window, and pending
-	// acks piggyback on the next outgoing frame instead of paying their own
-	// — the batched, ack-piggybacked wire protocol. Zero sends every message
-	// as its own frame, as before. Ignored in Synchronous mode, whose BSP
-	// stepping needs every send delivered by the next round.
+	// in one send burst coalesce into a wire.AnswerBatch frame, and pending
+	// acks piggyback on it instead of paying their own — the batched,
+	// ack-piggybacked wire protocol. A frame ships as soon as its burst
+	// drains, so batching adds no latency; the duration only bounds how
+	// long a still-running handler may hold back the sends it made. Zero
+	// sends every message as its own frame. Ignored in Synchronous mode,
+	// whose BSP stepping needs every send delivered by the next round.
 	BatchWindow time.Duration
 	// BatchBytes flushes a batch early once its payload estimate reaches
 	// this size (default 64KiB). Ignored without BatchWindow.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -253,31 +254,56 @@ func TestRunAllQuick(t *testing.T) {
 }
 
 // TestE16BatchingReduction pins the batched wire protocol's acceptance
-// criterion: on both cyclic topologies the burst phase must ship at least
+// criteria: on both cyclic topologies the burst phase must ship at least
 // 10x fewer frames per tuple than one-frame-per-message operation, with the
 // fix-point unchanged (E16 itself errors on tuple-count divergence and
-// validates every leg against the centralized oracle).
+// validates every leg against the centralized oracle) — and the saving must
+// not cost wall-clock time: the batched burst may take at most
+// e16WallRatioMax times the unbatched one.
+//
+// The wall gate compares the median batched/unbatched burst-time ratio of
+// three E16 runs, which absorbs one noisy run. Measured on a 2-vCPU Linux
+// VM over 30 such medians of three: clique(4) 0.91-1.25, ring(8) 0.72-1.23
+// (single runs, 60 samples: at most 1.38; under -race at most 1.37). The
+// fixed 2 ms flush-on-age window this replaced measured ring(8) 1.67-2.59
+// over 10 medians of three (52 vs 24 ms typical) and fails the gate.
 func TestE16BatchingReduction(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four fix-point runs plus write bursts; skipped in -short mode")
+		t.Skip("four fix-point runs plus write bursts, three times; skipped in -short mode")
 	}
-	r, err := Run("E16", quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Runs) != 8 {
-		t.Fatalf("want 8 run records (fix-point + burst, twice per topology), got %d", len(r.Runs))
-	}
-	// Records arrive as fix, burst, fix, burst, ... per leg; bursts are at
-	// odd indices. Compare unbatched burst (leg 0) vs batched burst (leg 1).
-	for i := 0; i+3 < len(r.Runs); i += 4 {
-		unbatched, batched := r.Runs[i+1], r.Runs[i+3]
-		if unbatched.MsgsPerTuple <= 0 || batched.MsgsPerTuple <= 0 {
-			t.Fatalf("burst records missing msgs-per-tuple: %+v / %+v", unbatched, batched)
+	const e16WallRatioMax = 1.5
+	topos := []string{"clique(4)", "ring(8)"}
+	walls := make([][]float64, len(topos))
+	for attempt := 0; attempt < 3; attempt++ {
+		r, err := Run("E16", quick)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ratio := unbatched.MsgsPerTuple / batched.MsgsPerTuple; ratio < 10 {
-			t.Errorf("frames-per-tuple reduction %.1fx < 10x (unbatched %.2f, batched %.2f)\n%s",
-				ratio, unbatched.MsgsPerTuple, batched.MsgsPerTuple, r.Table)
+		if len(r.Runs) != 8 {
+			t.Fatalf("want 8 run records (fix-point + burst, twice per topology), got %d", len(r.Runs))
+		}
+		// Records arrive as fix, burst, fix, burst, ... per leg; bursts are at
+		// odd indices. Compare unbatched burst (leg 0) vs batched burst (leg 1).
+		for i := 0; i+3 < len(r.Runs); i += 4 {
+			unbatched, batched := r.Runs[i+1], r.Runs[i+3]
+			if unbatched.MsgsPerTuple <= 0 || batched.MsgsPerTuple <= 0 {
+				t.Fatalf("burst records missing msgs-per-tuple: %+v / %+v", unbatched, batched)
+			}
+			if ratio := unbatched.MsgsPerTuple / batched.MsgsPerTuple; ratio < 10 {
+				t.Errorf("frames-per-tuple reduction %.1fx < 10x (unbatched %.2f, batched %.2f)\n%s",
+					ratio, unbatched.MsgsPerTuple, batched.MsgsPerTuple, r.Table)
+			}
+			if unbatched.UpdateMS <= 0 {
+				t.Fatalf("burst record missing its wall time: %+v", unbatched)
+			}
+			walls[i/4] = append(walls[i/4], batched.UpdateMS/unbatched.UpdateMS)
+		}
+	}
+	for i, ratios := range walls {
+		sort.Float64s(ratios)
+		if med := ratios[len(ratios)/2]; med > e16WallRatioMax {
+			t.Errorf("%s: batched burst took %.2fx the unbatched wall time (median of %.2f), want <= %.1fx",
+				topos[i], med, ratios, e16WallRatioMax)
 		}
 	}
 }

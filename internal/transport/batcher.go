@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,12 +11,12 @@ import (
 
 // Batcher wraps any Transport with a batched, ack-piggybacked wire protocol:
 // Answers bound for the same destination coalesce into a single
-// wire.AnswerBatch frame within a small time/size window, AnswerAcks owed to
-// that destination piggyback on the same frame instead of paying their own,
-// and (in cluster mode) a pending membership Heartbeat rides along too. Every
-// other message kind flushes the destination's buffer first and passes
-// through unbatched, so ordering between data and control frames (Queries,
-// Goodbyes, coordinator verbs) is preserved.
+// wire.AnswerBatch frame, AnswerAcks owed to that destination piggyback on
+// the same frame instead of paying their own, and (in cluster mode) a
+// pending membership Heartbeat rides along too. Every other message kind
+// flushes the destination's buffer first and passes through unbatched, so
+// ordering between data and control frames (Queries, Goodbyes, coordinator
+// verbs) is preserved.
 //
 // The paper's update propagation only requires per-update closure, not
 // per-tuple messaging: on chatty topologies (cliques, cycles) most frames are
@@ -24,11 +25,20 @@ import (
 // changing the fix-point — receivers apply a batch's contents exactly as if
 // each message had arrived alone.
 //
+// Flush-on-drain (group commit): no message waits on a clock. The first
+// message held wakes the flusher, which yields to the senders until a
+// scheduling round passes with nothing new held — the burst has drained —
+// and then ships every buffer. Messages that arrive while it ships ride the
+// next frame, so frames coalesce only under load. Sends a registered
+// handler makes while it processes one inbound frame are corked until the
+// handler returns: a reaction to one AnswerBatch leaves as one frame per
+// destination. Window bounds that cork — a handler still running after
+// Window has its held sends shipped anyway — and delays nothing else.
+//
 // Quiescence: when the inner transport offers WorkTracker (the in-memory
 // router), every held message is accounted as in-flight work until its frame
 // reaches the inner transport, so the quiescence oracle never declares a
-// network settled with batches still buffered. A background flusher bounds
-// how long a message may wait (flush-on-idle); Close flushes everything
+// network settled with batches still buffered. Close flushes everything
 // before closing the inner transport (flush-on-Close), so final acks and
 // trailing frames still drain.
 type Batcher struct {
@@ -37,24 +47,29 @@ type Batcher struct {
 	maxByte int
 	tracker WorkTracker // inner's quiescence accounting, when offered
 
-	mu     sync.Mutex
-	bufs   map[[2]string]*batchBuf
-	closed bool
+	mu       sync.Mutex
+	bufs     map[[2]string]*batchBuf // only non-empty buffers: a flush deletes its entry
+	handlers map[string]*handlerRun  // registered nodes' handler activity
+	armed    bool                    // the flusher has been kicked and has not yet flushed
+	closed   bool
 
-	quit     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	added atomic.Uint64 // messages ever held; the flusher watches a burst drain on it
+	kick  chan struct{}
+	quit  chan struct{}
+	wg    sync.WaitGroup
 
-	frames    atomic.Uint64 // frames handed to the inner transport
-	coalesced atomic.Uint64 // messages that shared a frame instead of paying their own
-	piggyAcks atomic.Uint64 // acks that piggybacked on a batched frame
-	piggyHB   atomic.Uint64 // heartbeats that piggybacked on a batched frame
+	frames      atomic.Uint64 // frames handed to the inner transport
+	coalesced   atomic.Uint64 // messages that shared a frame instead of paying their own
+	piggyAcks   atomic.Uint64 // acks that piggybacked on a batched frame
+	piggyHB     atomic.Uint64 // heartbeats that piggybacked on a batched frame
+	flushErrors atomic.Uint64 // held-traffic frames the inner transport rejected
 }
 
 // BatcherOptions tunes a Batcher.
 type BatcherOptions struct {
-	// Window bounds how long a held message may wait for companions before
-	// its buffer flushes (default 2ms).
+	// Window bounds how long a registered handler that is still running may
+	// cork the sends it made (default 2ms). It delays nothing else: every
+	// other held message ships as soon as its send burst drains.
 	Window time.Duration
 	// MaxBytes flushes a destination's buffer once its estimated payload
 	// reaches this size, so a burst never builds an oversized frame
@@ -74,6 +89,10 @@ type BatchStats struct {
 	PiggybackedAcks uint64
 	// PiggybackedBeats counts Heartbeats that rode in a batched frame.
 	PiggybackedBeats uint64
+	// FlushErrors counts flushes of held traffic the inner transport
+	// rejected. Most flushes run on the background flusher, where no caller
+	// sees the error; this counter does.
+	FlushErrors uint64
 }
 
 // batchBuf is the held traffic for one (from, to) pair.
@@ -85,15 +104,22 @@ type batchBuf struct {
 	repAcks    []wire.ReplicaAck
 	deltas     []wire.WatchDelta
 	bytes      int
-	since      time.Time // when the oldest held message arrived
+	since      time.Time // when the buffer opened
+	gen        uint64    // the sender's handler generation when the buffer opened
 }
 
-func (b *batchBuf) held() int {
+func (b *batchBuf) count() int {
 	n := len(b.answers) + len(b.acks) + len(b.repAppends) + len(b.repAcks) + len(b.deltas)
 	if b.beat != nil {
 		n++
 	}
 	return n
+}
+
+// handlerRun tracks one registered node's handler invocations.
+type handlerRun struct {
+	running int    // invocations in progress
+	gen     uint64 // invocations started
 }
 
 // NewBatcher wraps inner with batching. The Batcher owns the inner transport:
@@ -106,11 +132,13 @@ func NewBatcher(inner Transport, opts BatcherOptions) *Batcher {
 		opts.MaxBytes = 64 << 10
 	}
 	b := &Batcher{
-		inner:   inner,
-		window:  opts.Window,
-		maxByte: opts.MaxBytes,
-		bufs:    map[[2]string]*batchBuf{},
-		quit:    make(chan struct{}),
+		inner:    inner,
+		window:   opts.Window,
+		maxByte:  opts.MaxBytes,
+		bufs:     map[[2]string]*batchBuf{},
+		handlers: map[string]*handlerRun{},
+		kick:     make(chan struct{}, 1),
+		quit:     make(chan struct{}),
 	}
 	b.tracker, _ = inner.(WorkTracker)
 	b.wg.Add(1)
@@ -130,12 +158,42 @@ func (b *Batcher) Stats() BatchStats {
 		Coalesced:        b.coalesced.Load(),
 		PiggybackedAcks:  b.piggyAcks.Load(),
 		PiggybackedBeats: b.piggyHB.Load(),
+		FlushErrors:      b.flushErrors.Load(),
 	}
 }
 
-// Register implements Transport (handlers attach to the inner transport;
-// receiving is untouched by batching).
-func (b *Batcher) Register(node string, h Handler) error { return b.inner.Register(node, h) }
+// Register implements Transport: the handler attaches to the inner
+// transport (receiving is untouched by batching), wrapped so the Batcher
+// knows when the node is mid-reaction and corks the node's sends until the
+// reaction ends.
+func (b *Batcher) Register(node string, h Handler) error {
+	b.mu.Lock()
+	run := b.handlers[node]
+	if run == nil {
+		run = &handlerRun{}
+		b.handlers[node] = run
+	}
+	b.mu.Unlock()
+	return b.inner.Register(node, func(env wire.Envelope) {
+		b.mu.Lock()
+		run.running++
+		run.gen++
+		b.mu.Unlock()
+		defer b.handlerDone(run)
+		h(env)
+	})
+}
+
+// handlerDone ends one handler invocation; the sends it corked become
+// shippable, so the flusher is woken for them.
+func (b *Batcher) handlerDone(run *handlerRun) {
+	b.mu.Lock()
+	run.running--
+	if len(b.bufs) > 0 {
+		b.kickLocked()
+	}
+	b.mu.Unlock()
+}
 
 // TrackWork implements WorkTracker by delegation, so layers above the
 // Batcher (a peer's pipelined ack worker) reach the inner oracle through it.
@@ -145,9 +203,9 @@ func (b *Batcher) TrackWork(delta int) {
 	}
 }
 
-// Send implements Transport. Answers, AnswerAcks and Heartbeats are held for
-// coalescing; any other kind flushes the destination first and passes
-// through, preserving order.
+// Send implements Transport. Answers, AnswerAcks, Heartbeats, replication
+// and watch-stream frames are held for coalescing; any other kind flushes
+// the destination first and passes through, preserving order.
 func (b *Batcher) Send(from, to string, msg wire.Message) error {
 	key := [2]string{from, to}
 	b.mu.Lock()
@@ -155,76 +213,42 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 		b.mu.Unlock()
 		return ErrClosed
 	}
+	var buf *batchBuf
 	switch m := msg.(type) {
 	case wire.Answer:
-		buf := b.buf(key)
+		buf = b.buf(key)
 		buf.answers = append(buf.answers, m)
 		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	case wire.AnswerAck:
-		buf := b.buf(key)
+		buf = b.buf(key)
 		buf.acks = append(buf.acks, m)
 		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	case wire.Heartbeat:
-		buf := b.buf(key)
-		if buf.beat == nil {
-			b.TrackWork(1)
-		}
+		buf = b.buf(key)
+		replaced := buf.beat != nil
 		hb := m
 		buf.beat = &hb // latest wins: a heartbeat only asserts "still alive"
-		b.mu.Unlock()
-		return nil
+		if replaced {
+			b.mu.Unlock()
+			return nil
+		}
 	case wire.ReplicaAppend:
 		// The replication stream batches like the answer stream it mirrors:
 		// a primary's flush round produces one append per relation per
 		// mirror, and they share a frame per destination.
-		buf := b.buf(key)
+		buf = b.buf(key)
 		buf.repAppends = append(buf.repAppends, m)
 		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	case wire.ReplicaAck:
-		buf := b.buf(key)
+		buf = b.buf(key)
 		buf.repAcks = append(buf.repAcks, m)
 		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	case wire.WatchDelta:
 		// Watch-stream deliveries batch like the answer stream: a hot relation
 		// fanning out to many remote watchers of one client shares frames.
-		buf := b.buf(key)
+		buf = b.buf(key)
 		buf.deltas = append(buf.deltas, m)
 		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	default:
 		err := b.flushLocked(key)
 		b.frames.Add(1)
@@ -238,6 +262,16 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 		}
 		return err
 	}
+	b.TrackWork(1)
+	b.added.Add(1)
+	var err error
+	if buf.bytes >= b.maxByte {
+		err = b.flushLocked(key)
+	} else {
+		b.kickLocked()
+	}
+	b.mu.Unlock()
+	return err
 }
 
 // buf returns (creating on demand) the destination's buffer. Callers hold mu.
@@ -245,11 +279,33 @@ func (b *Batcher) buf(key [2]string) *batchBuf {
 	buf := b.bufs[key]
 	if buf == nil {
 		buf = &batchBuf{since: time.Now()}
+		if run := b.handlers[key[0]]; run != nil {
+			buf.gen = run.gen
+		}
 		b.bufs[key] = buf
-	} else if buf.held() == 0 {
-		buf.since = time.Now()
 	}
 	return buf
+}
+
+// kickLocked wakes the flusher unless it is already on its way. Callers
+// hold mu.
+func (b *Batcher) kickLocked() {
+	if b.armed {
+		return
+	}
+	b.armed = true
+	select {
+	case b.kick <- struct{}{}:
+	default:
+	}
+}
+
+// corkedLocked reports whether buf belongs to the handler invocation its
+// sender is still running: the reaction is not over, so its frame is not
+// cut yet. Callers hold mu.
+func (b *Batcher) corkedLocked(key [2]string, buf *batchBuf) bool {
+	run := b.handlers[key[0]]
+	return run != nil && run.running > 0 && run.gen == buf.gen
 }
 
 // flushLocked ships one destination's held traffic: a lone message goes out
@@ -260,10 +316,8 @@ func (b *Batcher) flushLocked(key [2]string) error {
 	if buf == nil {
 		return nil
 	}
-	n := buf.held()
-	if n == 0 {
-		return nil
-	}
+	delete(b.bufs, key)
+	n := buf.count()
 	var msg wire.Message
 	switch {
 	case n == 1 && len(buf.answers) == 1:
@@ -292,10 +346,12 @@ func (b *Batcher) flushLocked(key [2]string) error {
 			b.piggyHB.Add(1)
 		}
 	}
-	delete(b.bufs, key)
 	b.frames.Add(1)
 	err := b.inner.Send(key[0], key[1], msg)
 	b.TrackWork(-n)
+	if err != nil {
+		b.flushErrors.Add(1)
+	}
 	return err
 }
 
@@ -317,35 +373,70 @@ func (b *Batcher) Flush() error {
 	return b.flushAllLocked()
 }
 
-// flushLoop is the flush-on-idle timer: any buffer older than the window is
-// shipped, so a lone trailing message never waits on traffic that is not
-// coming.
+// maxDrainYields caps how long the flusher waits for a burst to drain, so
+// senders that never pause cannot starve the flush.
+const maxDrainYields = 32
+
+// flushLoop is the group-commit flusher. A kick means something is held; it
+// lets the burst drain, then ships every buffer whose handler invocation is
+// over. Buffers still corked by a running handler ship when that handler
+// returns (which kicks again) or, failing that, once they are Window old.
 func (b *Batcher) flushLoop() {
 	defer b.wg.Done()
-	tick := b.window / 2
-	if tick < 500*time.Microsecond {
-		tick = 500 * time.Microsecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
+	cork := time.NewTimer(b.window)
+	cork.Stop()
+	defer cork.Stop()
 	for {
 		select {
 		case <-b.quit:
 			return
-		case now := <-t.C:
-			b.mu.Lock()
-			for key, buf := range b.bufs {
-				if buf.held() > 0 && now.Sub(buf.since) >= b.window {
-					_ = b.flushLocked(key)
+		case <-b.kick:
+		case <-cork.C:
+		}
+		b.awaitDrain()
+		b.mu.Lock()
+		b.armed = false
+		now := time.Now()
+		var oldest time.Time
+		for key, buf := range b.bufs {
+			if b.corkedLocked(key, buf) && now.Sub(buf.since) < b.window {
+				if oldest.IsZero() || buf.since.Before(oldest) {
+					oldest = buf.since
 				}
+				continue
 			}
-			b.mu.Unlock()
+			_ = b.flushLocked(key) // counted in flushErrors
+		}
+		b.mu.Unlock()
+		if !cork.Stop() {
+			select {
+			case <-cork.C:
+			default:
+			}
+		}
+		if !oldest.IsZero() {
+			cork.Reset(oldest.Add(b.window).Sub(now))
 		}
 	}
 }
 
-// Close flushes every buffer and closes the inner transport (flush-on-Close:
-// trailing acks and Goodbyes queued behind held answers still drain).
+// awaitDrain yields to the senders until a scheduling round passes in which
+// nothing new was held: the send burst has drained.
+func (b *Batcher) awaitDrain() {
+	n := b.added.Load()
+	for i := 0; i < maxDrainYields; i++ {
+		runtime.Gosched()
+		m := b.added.Load()
+		if m == n {
+			return
+		}
+		n = m
+	}
+}
+
+// Close flushes every buffer, stops the flusher and closes the inner
+// transport (flush-on-Close: trailing acks and Goodbyes queued behind held
+// answers still drain).
 func (b *Batcher) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -353,9 +444,9 @@ func (b *Batcher) Close() error {
 		return b.inner.Close()
 	}
 	b.closed = true
-	_ = b.flushAllLocked() // shutdown send errors surface via inner.Close
+	_ = b.flushAllLocked() // counted in flushErrors; shutdown errors also surface via inner.Close
 	b.mu.Unlock()
-	b.stopOnce.Do(func() { close(b.quit) })
+	close(b.quit)
 	b.wg.Wait()
 	return b.inner.Close()
 }
