@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per experiment; see DESIGN.md's index and EXPERIMENTS.md
-// for recorded outputs). Run with:
+// (one benchmark per experiment; see the internal/experiments package doc
+// for the index and the committed BENCH_*.json files for recorded outputs).
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -91,19 +92,11 @@ func BenchmarkE12_Separation(b *testing.B) { benchExperiment(b, "E12") }
 // ablation (§3's optimisation note).
 func BenchmarkE13_StagedVsFlood(b *testing.B) { benchExperiment(b, "E13") }
 
-// BenchmarkE14_SemiNaive regenerates the semi-naive delta-evaluation
-// ablation (chain and grid fix-point cost).
-func BenchmarkE14_SemiNaive(b *testing.B) { benchExperiment(b, "E14") }
-
 // ---------------------------------------------------------------------------
 // Fix-point throughput benchmarks: discovery + update to closure on one
-// workload, reporting tuples-inserted/sec. The SemiNaive/Full pairs ablate
-// the semi-naive delta evaluation path (delta mode in both cases); the
-// semi-naive variants should come out well ahead on these data-heavy
-// topologies, where full re-evaluation per push is quadratic in the
-// materialised data.
+// workload in delta (semi-naive) mode, reporting tuples-inserted/sec.
 
-func benchFixpoint(b *testing.B, topo workload.Topology, records int, mode core.SemiNaiveMode) {
+func benchFixpoint(b *testing.B, topo workload.Topology, records int) {
 	b.Helper()
 	def, err := workload.Generate(topo, workload.DataSpec{
 		RecordsPerNode: records, Seed: 1, Style: workload.StyleCopy,
@@ -116,7 +109,7 @@ func benchFixpoint(b *testing.B, topo workload.Topology, records int, mode core.
 	var inserted uint64
 	for i := 0; i < b.N; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		n, err := core.Build(def, core.Options{Seed: 1, Delta: true, SemiNaive: mode})
+		n, err := core.Build(def, core.Options{Seed: 1, Delta: true})
 		if err != nil {
 			cancel()
 			b.Fatal(err)
@@ -137,17 +130,9 @@ func benchFixpoint(b *testing.B, topo workload.Topology, records int, mode core.
 }
 
 func BenchmarkFixpointChainSemiNaive(b *testing.B) {
-	benchFixpoint(b, workload.Chain(8), 150, core.SemiNaiveOn)
-}
-
-func BenchmarkFixpointChainFull(b *testing.B) {
-	benchFixpoint(b, workload.Chain(8), 150, core.SemiNaiveOff)
+	benchFixpoint(b, workload.Chain(8), 150)
 }
 
 func BenchmarkFixpointGridSemiNaive(b *testing.B) {
-	benchFixpoint(b, workload.Grid(3, 3), 100, core.SemiNaiveOn)
-}
-
-func BenchmarkFixpointGridFull(b *testing.B) {
-	benchFixpoint(b, workload.Grid(3, 3), 100, core.SemiNaiveOff)
+	benchFixpoint(b, workload.Grid(3, 3), 100)
 }

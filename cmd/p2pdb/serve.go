@@ -32,8 +32,7 @@ var (
 	suspectAfter = flag.Duration("suspect", 0, "silence window before suspecting a member (0 = 3×hb)")
 	batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "batch answers/acks per member into one frame per send burst, flushed as soon as the burst drains; the duration only bounds how long a running handler may hold its sends (0 = one frame per message)")
 	batchBytes   = flag.Int("batch-bytes", 64<<10, "flush a batch early past this payload size")
-	useConsensus = flag.Bool("consensus", true, "run the replicated control plane (agreed member view, log-routed control verbs, update-driver fail-over)")
-	replicasK    = flag.Int("replicas", 0, "mirror each node's extensional relations on this many other members, with promotion fail-over (0 = off; needs -consensus)")
+	replicasK    = flag.Int("replicas", 0, "mirror each node's extensional relations on this many other members, with promotion fail-over (0 = off)")
 	deadAfter    = flag.Duration("dead-after", 0, "continuous suspicion before a member is declared permanently dead and its nodes fail over (0 = 10s)")
 )
 
@@ -149,95 +148,92 @@ func cmdServe(args []string) error {
 	// entries, and a killed update-driver is replaced by the next eligible
 	// member. With -data the applied entries persist beside the node's WAL
 	// directory and replay on restart.
-	var cp *cluster.ControlPlane
 	var mgr *replica.Manager
 	deposed := make(chan string, 1)
-	if *useConsensus {
-		var names []string
-		for _, d := range def.Nodes {
-			names = append(names, d.Name)
-		}
-		copts := cluster.ControlPlaneOptions{}
-		if o.DataDir != "" {
-			copts.Consensus.LogPath = filepath.Join(o.DataDir, node+".control.log")
-		}
-		// The replica subsystem and the control plane are mutually
-		// referential — the plane's election hooks call into the manager, the
-		// manager reads the plane's agreed placement — so the hooks gate on
-		// mgrReady and the manager is built right after the plane.
-		mgrReady := make(chan struct{})
-		var promote func(string)
-		if *replicasK > 0 {
-			promote = func(dead string) {
-				<-mgrReady
-				if p := n.Peer(dead); p != nil {
-					// Already hosted here (a promotion replayed at boot after a
-					// restart): just refresh the manager's callbacks.
-					mgr.BecomePrimary(dead, p.DB(), p.DurableState)
-					return
-				}
-				tr.AllowAlias(dead)
-				db, st, restore, err := mgr.Promote(dead)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "promote %s: %v\n", dead, err)
-					return
-				}
-				if err := n.Adopt(dead, db, st, restore); err != nil {
-					fmt.Fprintf(os.Stderr, "adopt %s: %v\n", dead, err)
-					return
-				}
-				p := n.Peer(dead)
+	var names []string
+	for _, d := range def.Nodes {
+		names = append(names, d.Name)
+	}
+	copts := cluster.ControlPlaneOptions{}
+	if o.DataDir != "" {
+		copts.Consensus.LogPath = filepath.Join(o.DataDir, node+".control.log")
+	}
+	// The replica subsystem and the control plane are mutually
+	// referential — the plane's election hooks call into the manager, the
+	// manager reads the plane's agreed placement — so the hooks gate on
+	// mgrReady and the manager is built right after the plane.
+	mgrReady := make(chan struct{})
+	var promote func(string)
+	if *replicasK > 0 {
+		promote = func(dead string) {
+			<-mgrReady
+			if p := n.Peer(dead); p != nil {
+				// Already hosted here (a promotion replayed at boot after a
+				// restart): just refresh the manager's callbacks.
 				mgr.BecomePrimary(dead, p.DB(), p.DurableState)
-				fmt.Printf("promoted: now hosting %s (frontier %d)\n", dead, mgr.Frontier(dead))
+				return
 			}
-			copts.Replication = cluster.ReplicationOptions{
-				K:         *replicasK,
-				DeadAfter: *deadAfter,
-				Frontier: func(dead string) uint64 {
-					<-mgrReady
-					return mgr.Frontier(dead)
-				},
-				OnPromote: promote,
-				OnDeposed: func(own string) {
-					// The agreed log re-homed this process's own node: serving
-					// on would fork the fix-point. Break the signal wait.
-					select {
-					case deposed <- own:
-					default:
-					}
-				},
+			tr.AllowAlias(dead)
+			db, st, restore, err := mgr.Promote(dead)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "promote %s: %v\n", dead, err)
+				return
 			}
+			if err := n.Adopt(dead, db, st, restore); err != nil {
+				fmt.Fprintf(os.Stderr, "adopt %s: %v\n", dead, err)
+				return
+			}
+			p := n.Peer(dead)
+			mgr.BecomePrimary(dead, p.DB(), p.DurableState)
+			fmt.Printf("promoted: now hosting %s (frontier %d)\n", dead, mgr.Frontier(dead))
 		}
-		cp, err = cluster.NewControlPlane(tr, n.Peer(node), names, copts)
-		if err != nil {
-			_ = n.Close()
-			return err
+		copts.Replication = cluster.ReplicationOptions{
+			K:         *replicasK,
+			DeadAfter: *deadAfter,
+			Frontier: func(dead string) uint64 {
+				<-mgrReady
+				return mgr.Frontier(dead)
+			},
+			OnPromote: promote,
+			OnDeposed: func(own string) {
+				// The agreed log re-homed this process's own node: serving
+				// on would fork the fix-point. Break the signal wait.
+				select {
+				case deposed <- own:
+				default:
+				}
+			},
 		}
-		if cp.Deposed() {
-			// A previous lifetime's log already records this node as re-homed:
-			// refuse to serve rather than fork it.
-			cp.Close()
-			_ = n.Close()
-			return fmt.Errorf("%s was declared dead and re-homed to %s; refusing to serve (clear the data dir to rejoin fresh)", node, cp.HostOf(node))
+	}
+	cp, err := cluster.NewControlPlane(tr, n.Peer(node), names, copts)
+	if err != nil {
+		_ = n.Close()
+		return err
+	}
+	if cp.Deposed() {
+		// A previous lifetime's log already records this node as re-homed:
+		// refuse to serve rather than fork it.
+		cp.Close()
+		_ = n.Close()
+		return fmt.Errorf("%s was declared dead and re-homed to %s; refusing to serve (clear the data dir to rejoin fresh)", node, cp.HostOf(node))
+	}
+	if *replicasK > 0 {
+		mgr = replica.New(cp, tr.Send, replica.Options{
+			Member:  node,
+			Nodes:   names,
+			K:       *replicasK,
+			DataDir: o.DataDir,
+			WAL:     wal.Options{Fsync: o.Fsync},
+		})
+		tr.SetReplica(mgr.Handle)
+		if p := n.Peer(node); p != nil {
+			mgr.BecomePrimary(node, p.DB(), p.DurableState)
 		}
-		if *replicasK > 0 {
-			mgr = replica.New(cp, tr.Send, replica.Options{
-				Member:  node,
-				Nodes:   names,
-				K:       *replicasK,
-				DataDir: o.DataDir,
-				WAL:     wal.Options{Fsync: o.Fsync},
-			})
-			tr.SetReplica(mgr.Handle)
-			if p := n.Peer(node); p != nil {
-				mgr.BecomePrimary(node, p.DB(), p.DurableState)
-			}
-			close(mgrReady)
-			// Boot recovery: promotions agreed in a previous lifetime re-adopt
-			// from the mirror stores before the process serves traffic.
-			for _, dead := range cp.AdoptedNodes() {
-				promote(dead)
-			}
+		close(mgrReady)
+		// Boot recovery: promotions agreed in a previous lifetime re-adopt
+		// from the mirror stores before the process serves traffic.
+		for _, dead := range cp.AdoptedNodes() {
+			promote(dead)
 		}
 	}
 	tr.Announce()
@@ -269,9 +265,7 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "deposed: %s is hosted elsewhere now; shutting down\n", own)
 	}
 	signal.Stop(sig)
-	if cp != nil {
-		cp.Close() // stop proposing/driving before the transport goes away
-	}
+	cp.Close() // stop proposing/driving before the transport goes away
 	if mgr != nil {
 		mgr.Close() // seal the mirror stores with clean-close records
 	}

@@ -54,7 +54,6 @@ func (n *Network) Adopt(node string, db *storage.DB, st *wal.Store, restore *wal
 	}
 	pOpts := peer.Options{
 		Delta:         n.opts.Delta,
-		SemiNaive:     n.opts.SemiNaive,
 		InsertMode:    n.opts.InsertMode,
 		MaxNullDepth:  n.opts.MaxNullDepth,
 		Maps:          n.def.MapSet(),

@@ -30,13 +30,9 @@ func TestBuildRejectsResendWithoutDelta(t *testing.T) {
 		t.Fatal("ResendEvery without Delta must be rejected")
 	}
 	def = mustParse(t, text)
-	if _, err := Build(def, Options{Delta: true, SemiNaive: SemiNaiveOff, ResendEvery: time.Second}); err == nil {
-		t.Fatal("ResendEvery with SemiNaiveOff must be rejected")
-	}
-	def = mustParse(t, text)
 	n, err := Build(def, Options{Delta: true, ResendEvery: time.Second})
 	if err != nil {
-		t.Fatalf("ResendEvery with Delta (semi-naive default) must build: %v", err)
+		t.Fatalf("ResendEvery with Delta must build: %v", err)
 	}
 	_ = n.Close()
 }

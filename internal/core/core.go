@@ -37,13 +37,9 @@ type Options struct {
 	// Synchronous switches the transport to BSP rounds (the paper's
 	// "synchronous alternative").
 	Synchronous bool
-	// Delta enables the delta optimisation on all peers.
+	// Delta enables the semi-naive delta optimisation on all peers (see
+	// peer.Options.Delta).
 	Delta bool
-	// SemiNaive selects the evaluation strategy behind delta-mode answers
-	// (default on; see peer.Options.SemiNaive). SemiNaiveOff restores the
-	// legacy full re-evaluation with a per-subscription sent-set. Ignored
-	// when Delta is false.
-	SemiNaive SemiNaiveMode
 	// InsertMode selects exact or core insertion.
 	InsertMode storage.InsertMode
 	// MaxNullDepth bounds existential invention (0 = default).
@@ -73,14 +69,14 @@ type Options struct {
 	// the acknowledgment handshake (dependents confirm each answer's
 	// sequence range with wire.AnswerAck; only acks sent after the
 	// dependent's store synced carry the Durable flag that lets a frontier
-	// be persisted), so in the default Delta+semi-naive configuration BOTH
-	// clean and crash restarts re-answer delta-only: the re-send after a
-	// crash is exactly the unconfirmed suffix, which receivers deduplicate.
-	// Under wal.FsyncNever routine appends skip fsync but acks still gate
-	// on a group-commit sync point (wal.Store.SyncPoint), so crash restarts
-	// are delta-only there too; without the handshake (Delta off,
-	// SemiNaiveOff) crash restarts drop the subscriptions entirely. Empty
-	// DataDir keeps the network purely in-memory, as before.
+	// be persisted), so with Delta on BOTH clean and crash restarts
+	// re-answer delta-only: the re-send after a crash is exactly the
+	// unconfirmed suffix, which receivers deduplicate. Under
+	// wal.FsyncNever routine appends skip fsync but acks still gate on a
+	// group-commit sync point (wal.Store.SyncPoint), so crash restarts are
+	// delta-only there too; without the handshake (Delta off) crash
+	// restarts drop the subscriptions entirely. Empty DataDir keeps the
+	// network purely in-memory, as before.
 	DataDir string
 	// Fsync selects the stores' durability policy (wal.FsyncInterval
 	// default; see wal.FsyncPolicy). Ignored without DataDir.
@@ -96,10 +92,9 @@ type Options struct {
 	// (see peer.Options.ResendEvery). Deployments (cmd/p2pdb serve) enable
 	// it so a delta lost to a dead or unreachable member ships again without
 	// waiting for the next epoch; deterministic in-process runs leave it 0.
-	// Build rejects it outside the Delta+semi-naive configuration: the
-	// resend loop re-ships from acked frontiers, which only exist there, so
-	// a misconfigured deployment fails loudly instead of silently never
-	// re-sending.
+	// Build rejects it without Delta: the resend loop re-ships from acked
+	// frontiers, which only exist in delta mode, so a misconfigured
+	// deployment fails loudly instead of silently never re-sending.
 	ResendEvery time.Duration
 	// BatchWindow, when positive, wraps the transport in a Batcher
 	// (transport.NewBatcher): Answers and AnswerAcks bound for the same peer
@@ -128,17 +123,6 @@ type Options struct {
 	Hosted []string
 }
 
-// SemiNaiveMode selects the delta-mode evaluation strategy; re-exported from
-// the peer runtime so orchestration callers need not import it.
-type SemiNaiveMode = peer.SemiNaiveMode
-
-// Semi-naive evaluation modes.
-const (
-	SemiNaiveAuto = peer.SemiNaiveAuto
-	SemiNaiveOn   = peer.SemiNaiveOn
-	SemiNaiveOff  = peer.SemiNaiveOff
-)
-
 // Network is a running P2P database network over any transport.
 type Network struct {
 	defMu   sync.Mutex // guards def (Broadcast replaces it, Insert appends facts)
@@ -163,11 +147,11 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 		}
 		return nil, err
 	}
-	if opts.ResendEvery > 0 && (!opts.Delta || !opts.SemiNaive.Enabled()) {
+	if opts.ResendEvery > 0 && !opts.Delta {
 		if opts.Transport != nil {
 			_ = opts.Transport.Close()
 		}
-		return nil, fmt.Errorf("core: ResendEvery requires Delta with semi-naive evaluation (the resend loop re-ships unacknowledged deltas from the acked frontiers, which only that configuration maintains)")
+		return nil, fmt.Errorf("core: ResendEvery requires Delta (the resend loop re-ships unacknowledged deltas from the acked frontiers, which only delta mode maintains)")
 	}
 	tr := opts.Transport
 	if tr == nil {
@@ -209,11 +193,10 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 	// recovered epochs can be aligned (each node persists its own; the
 	// maximum becomes everyone's restart epoch, keeping the next update wave
 	// strictly newer than anything in flight before the shutdown). In the
-	// acknowledgment configuration (Delta + semi-naive, fsync not never) the
-	// persisted marks are acked frontiers and stay trusted even after a
-	// crash — a frontier was only ever advanced by a dependent that had the
-	// data on stable storage; peers clamp it to their recovered relation
-	// seqs on restore. Outside that configuration a crash anywhere may have
+	// acknowledgment configuration (Delta) the persisted marks are acked
+	// frontiers and stay trusted even after a crash — a frontier was only
+	// ever advanced by a dependent that had the data on stable storage;
+	// peers clamp it to their recovered relation seqs on restore. Outside that configuration a crash anywhere may have
 	// lost answers in flight to anyone, so the marks are dropped and sources
 	// re-answer in full.
 	recovered := map[string]*wal.Recovered{}
@@ -265,14 +248,13 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 	// receipt-confirmed frontiers only while sealing every store. Marks
 	// written under a different or laxer policy in a previous run are
 	// therefore still trustworthy now.
-	ackedRecovery := opts.Delta && opts.SemiNaive.Enabled()
+	ackedRecovery := opts.Delta
 	for _, decl := range def.Nodes {
 		if !isHosted(decl.Name) {
 			continue
 		}
 		pOpts := peer.Options{
 			Delta:         opts.Delta,
-			SemiNaive:     opts.SemiNaive,
 			InsertMode:    opts.InsertMode,
 			MaxNullDepth:  opts.MaxNullDepth,
 			Maps:          def.MapSet(),

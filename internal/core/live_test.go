@@ -200,8 +200,8 @@ func TestWatchStreamsDeltas(t *testing.T) {
 	}
 }
 
-// TestWatcherOracleAdversarial is the satellite oracle: under Delta +
-// SemiNaive with adversarial message delays, across online inserts and
+// TestWatcherOracleAdversarial is the satellite oracle: under Delta
+// (semi-naive) with adversarial message delays, across online inserts and
 // AddLink/DeleteLink, the accumulated watch deltas must equal the final
 // LocalQuery result at fix-point — every derived tuple streamed exactly
 // once, none lost, none invented.

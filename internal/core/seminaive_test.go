@@ -17,7 +17,7 @@ func snapshotsEqual(t *testing.T, label string, a, b *Network) {
 			t.Fatalf("%s: node %s missing from second run", label, node)
 		}
 		if !dbA.Equal(dbB) {
-			t.Fatalf("%s: node %s diverges between semi-naive on and off:\n on: %s\noff: %s",
+			t.Fatalf("%s: node %s diverges between semi-naive and faithful:\nsemi-naive: %s\n  faithful: %s",
 				label, node, dbA.Dump(), dbB.Dump())
 		}
 	}
@@ -25,9 +25,9 @@ func snapshotsEqual(t *testing.T, label string, a, b *Network) {
 
 // TestSemiNaiveOracleRandomNetworks is the network-level oracle for the
 // semi-naive evaluation path: across randomized topologies and workloads,
-// runs with SemiNaive on and off (delta mode in both) must both close and
-// converge to DB.Equal fix-points on every node, and the semi-naive run must
-// match the centralised baseline.
+// the semi-naive (Delta) run and the paper's faithful run (Delta off) must
+// both close and converge to DB.Equal fix-points on every node, and the
+// semi-naive run must match the centralised baseline.
 func TestSemiNaiveOracleRandomNetworks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-topology soak; skipped in -short mode")
@@ -51,22 +51,22 @@ func TestSemiNaiveOracleRandomNetworks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := Build(def, Options{Seed: int64(i), Delta: true, SemiNaive: SemiNaiveOn})
+		on, err := Build(def, Options{Seed: int64(i), Delta: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := on.RunToFixpoint(ctx(t)); err != nil {
-			t.Fatalf("%s semi-naive on: %v", tc.topo, err)
+			t.Fatalf("%s semi-naive: %v", tc.topo, err)
 		}
 		if err := on.ValidateAgainstCentralized(); err != nil {
-			t.Fatalf("%s semi-naive on: %v", tc.topo, err)
+			t.Fatalf("%s semi-naive: %v", tc.topo, err)
 		}
-		off, err := Build(def, Options{Seed: int64(i), Delta: true, SemiNaive: SemiNaiveOff})
+		off, err := Build(def, Options{Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := off.RunToFixpoint(ctx(t)); err != nil {
-			t.Fatalf("%s semi-naive off: %v", tc.topo, err)
+			t.Fatalf("%s faithful: %v", tc.topo, err)
 		}
 		snapshotsEqual(t, tc.topo.String(), on, off)
 		_ = on.Close()
@@ -113,13 +113,14 @@ func semiNaiveDynamicScript(t *testing.T, n *Network) {
 }
 
 // TestSemiNaiveDynamicConvergence runs the same addLink/deleteLink script
-// with semi-naive on and off; the resulting databases must agree on every
-// node, proving the per-subscription marks survive epoch bumps and reset
-// correctly when subscriptions are torn down and re-created.
+// semi-naively (Delta) and faithfully (Delta off); the resulting databases
+// must agree on every node, proving the per-subscription marks survive
+// epoch bumps and reset correctly when subscriptions are torn down and
+// re-created.
 func TestSemiNaiveDynamicConvergence(t *testing.T) {
-	on := build(t, chainNet, Options{Delta: true, SemiNaive: SemiNaiveOn})
+	on := build(t, chainNet, Options{Delta: true})
 	semiNaiveDynamicScript(t, on)
-	off := build(t, chainNet, Options{Delta: true, SemiNaive: SemiNaiveOff})
+	off := build(t, chainNet, Options{})
 	semiNaiveDynamicScript(t, off)
 	snapshotsEqual(t, "dynamic chain", on, off)
 
@@ -138,10 +139,10 @@ func TestSemiNaiveDynamicConvergence(t *testing.T) {
 // TestMultiSourceDeltaAcrossEpochs pins the cross-epoch completeness of
 // multi-source rules in delta mode: a second update wave wipes nothing the
 // join still needs. The head's accumulated part results must survive epoch
-// bumps, because sources holding high-water marks (or sent-sets) ship only
-// deltas on re-query — if the head restarted its parts from scratch, an
-// old×new combination (here: old c-tuple × new b-tuple) would be lost
-// forever.
+// bumps, because sources holding high-water marks ship only deltas on
+// re-query — if the head restarted its parts from scratch, an old×new
+// combination (here: old c-tuple × new b-tuple) would be lost forever. The
+// faithful run (Delta off) is the reference.
 func TestMultiSourceDeltaAcrossEpochs(t *testing.T) {
 	const net = `
 node A { rel a(x,z) }
@@ -152,23 +153,23 @@ fact B:b('1','k')
 fact C:c('k','9')
 super A
 `
-	for _, mode := range []SemiNaiveMode{SemiNaiveOn, SemiNaiveOff} {
-		n := build(t, net, Options{Delta: true, SemiNaive: mode})
+	for _, delta := range []bool{true, false} {
+		n := build(t, net, Options{Delta: delta})
 		if err := n.RunToFixpoint(ctx(t)); err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("delta %v: %v", delta, err)
 		}
 		if got := n.Peer("A").DB().Count("a"); got != 1 {
-			t.Fatalf("mode %v: a = %d after first wave", mode, got)
+			t.Fatalf("delta %v: a = %d after first wave", delta, got)
 		}
 		// New b-tuple joins the old c-tuple: only B has news in epoch 2.
 		if err := n.Peer("B").Seed("b", relalg.Tuple{relalg.S("2"), relalg.S("k")}); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.Update(ctx(t)); err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("delta %v: %v", delta, err)
 		}
 		if got := n.Peer("A").DB().Count("a"); got != 2 {
-			t.Fatalf("mode %v: a = %d after second wave (old×new join lost)", mode, got)
+			t.Fatalf("delta %v: a = %d after second wave (old×new join lost)", delta, got)
 		}
 	}
 }

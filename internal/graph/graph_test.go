@@ -30,7 +30,7 @@ func TestFromRulesPaperEdges(t *testing.T) {
 // paper. The expected sets below are derived mechanically from Definitions 6
 // and 7 on the example's dependency edges; they agree with the paper's table
 // up to its OCR/typesetting glitches (the paper prints "ABDA" for A's path
-// ABCDA and omits CDABE from C's list), which EXPERIMENTS.md documents.
+// ABCDA and omits CDABE from C's list).
 func TestE1MaximalPathsPaperTable(t *testing.T) {
 	g := paperGraph()
 	want := map[string][]string{

@@ -498,7 +498,7 @@ func (m *Manager) flushOnce() {
 			// Rewind-on-silence: sent beyond acked with no progress for
 			// ResendAfter means a frame (or its ack) was lost — re-ship the
 			// unacknowledged suffix.
-			if !marksCover(d.acked, d.sent) && time.Since(d.progress) >= m.opts.ResendAfter {
+			if !d.acked.Covers(d.sent) && time.Since(d.progress) >= m.opts.ResendAfter {
 				d.sent = d.acked.Clone()
 				if d.sent == nil {
 					d.sent = storage.Marks{}
@@ -662,7 +662,7 @@ func (m *Manager) underReplicatedLocked() int {
 		placement, _ := m.ctl.PlacementFor(p.node)
 		for _, member := range placement {
 			d := p.dests[member]
-			if d == nil || !marksCover(d.acked, frontier) {
+			if d == nil || !d.acked.Covers(frontier) {
 				short++
 			}
 		}
@@ -729,14 +729,6 @@ func relAttrs(db *storage.DB, rel string) []string {
 		}
 	}
 	return nil
-}
-
-// marksCover reports whether a covers b (a nil a covers only an empty b).
-func marksCover(a, b storage.Marks) bool {
-	if a == nil {
-		a = storage.Marks{}
-	}
-	return a.Covers(b)
 }
 
 func marksSum(m storage.Marks) uint64 {

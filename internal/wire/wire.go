@@ -148,8 +148,8 @@ func (m Query) Size() int {
 // source advances a confirmed frontier only when it already covers the
 // acknowledged Base (contiguous extension), so an ack for a later answer
 // can never paper over an earlier answer that was dropped. Answers without
-// Seqs (faithful mode, sent-set delta mode, pure state-flag notifications)
-// need no acknowledgment.
+// Seqs (faithful mode, pure state-flag notifications) need no
+// acknowledgment.
 type Answer struct {
 	Epoch    uint64
 	RuleID   string

@@ -52,11 +52,11 @@
 // and the README's Deployment walkthrough.
 //
 // Options.Delta enables the paper's delta optimisation (ship only unsent
-// tuples per subscription); with it, Options.SemiNaive (default on) selects
-// semi-naive evaluation: sources track per-relation high-water marks per
-// subscription and re-answer by joining only the tuples inserted since the
-// marks, so fix-point cost tracks the changed data rather than growing
-// quadratically with the materialised result. See SemiNaiveMode.
+// tuples per subscription), evaluated semi-naively: sources track
+// per-relation high-water marks per subscription and re-answer by joining
+// only the tuples inserted since the marks, so fix-point cost tracks the
+// changed data rather than growing quadratically with the materialised
+// result.
 //
 // Options.DataDir makes the network durable: every node runs over a
 // log-structured store (internal/wal) and a rebuilt network recovers its
@@ -141,22 +141,6 @@ const (
 	FsyncInterval = wal.FsyncInterval
 	FsyncAlways   = wal.FsyncAlways
 	FsyncNever    = wal.FsyncNever
-)
-
-// SemiNaiveMode selects how sources evaluate subscription re-answers when
-// the delta optimisation is on (Options.Delta). The default (SemiNaiveAuto)
-// is semi-naive: each subscription keeps per-relation high-water marks and a
-// re-answer joins only the tuples inserted since the marks against the full
-// extents of the remaining body atoms, making fix-point cost proportional to
-// the changed data instead of the materialised result. SemiNaiveOff restores
-// the original full re-evaluation with a per-subscription sent-set.
-type SemiNaiveMode = core.SemiNaiveMode
-
-// Semi-naive evaluation modes for Options.SemiNaive.
-const (
-	SemiNaiveAuto = core.SemiNaiveAuto
-	SemiNaiveOn   = core.SemiNaiveOn
-	SemiNaiveOff  = core.SemiNaiveOff
 )
 
 // ParseNetwork parses a network-description file (see rules.ParseNetwork
