@@ -50,7 +50,6 @@ var (
 	staged   = flag.Bool("staged", false, "topology-aware staged update (SCC condensation, sources first)")
 	seed     = flag.Int64("seed", 1, "deterministic seed")
 	timeout  = flag.Duration("timeout", 2*time.Minute, "run timeout")
-	saveDir  = flag.String("save", "", "directory to write per-node database snapshots after a run")
 	dataDir  = flag.String("data", "", "durable backend: write-ahead-log directory (one store per node; empty = in-memory)")
 	fsyncStr = flag.String("fsync", "interval", "fsync policy of the durable backend: always, interval or never")
 	resend   = flag.Duration("resend", 0, "re-ship unacknowledged subscription deltas after this silence (serve defaults to 1s; 0 keeps the other, deterministic modes off; negative disables in serve too)")
@@ -210,18 +209,6 @@ func cmdRun(args []string) error {
 	for _, id := range n.Nodes() {
 		p := n.Peer(id)
 		fmt.Printf("%s [%s] %d tuples\n", id, p.State(), p.DB().TotalTuples())
-	}
-	if *saveDir != "" {
-		if err := os.MkdirAll(*saveDir, 0o755); err != nil {
-			return err
-		}
-		for _, id := range n.Nodes() {
-			path := filepath.Join(*saveDir, id+".snapshot")
-			if err := n.Peer(id).DB().SaveFile(path); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("\nsnapshots written to %s\n", *saveDir)
 	}
 	return nil
 }

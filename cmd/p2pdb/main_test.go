@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/rules"
+	"repro/internal/wal"
 )
 
 func writeExample(t *testing.T) string {
@@ -88,26 +89,38 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunStagedAndSnapshots checks that a staged run with -data leaves one
+// durable store per node holding that node's fix-point, and that recover
+// reads them all.
 func TestRunStagedAndSnapshots(t *testing.T) {
 	path := writeExample(t)
-	dir := t.TempDir()
-	old := struct {
-		staged bool
-		save   string
-	}{*staged, *saveDir}
-	*staged = true
-	*saveDir = dir
-	defer func() { *staged = old.staged; *saveDir = old.save }()
+	dir := filepath.Join(t.TempDir(), "stores")
+	oldStaged, oldData := *staged, *dataDir
+	*staged, *dataDir = true, dir
+	defer func() { *staged, *dataDir = oldStaged, oldData }()
 
 	if err := run([]string{"run", path}); err != nil {
 		t.Fatal(err)
+	}
+	if err := run([]string{"recover", dir}); err != nil {
+		t.Fatalf("recover: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 5 {
-		t.Fatalf("snapshots = %d", len(entries))
+	want := map[string]int{"A": 4, "B": 4, "C": 8, "D": 6, "E": 3}
+	if len(entries) != len(want) {
+		t.Fatalf("stores = %d, want %d", len(entries), len(want))
+	}
+	for _, e := range entries {
+		rec, err := wal.Inspect(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if got := rec.DB.TotalTuples(); got != want[e.Name()] {
+			t.Errorf("%s recovered %d tuples, want %d", e.Name(), got, want[e.Name()])
+		}
 	}
 }
 

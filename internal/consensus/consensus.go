@@ -45,13 +45,16 @@
 package consensus
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/wire"
 )
 
@@ -181,8 +184,8 @@ type Node struct {
 	rrNext   int               // round-robin catch-up target
 	closed   bool
 
-	log     *frameLog[logEntry]
-	acc     *frameLog[accEntry]
+	log     *frame.Log     // applied log (nil without LogPath)
+	acc     *frame.Log     // acceptor log (nil without LogPath)
 	snap    *wire.Snapshot // pending state transfer, installed by the applier
 	applyCh chan struct{}
 	quit    chan struct{}
@@ -223,7 +226,7 @@ func New(self string, peers []string, send Sender, apply Apply, opts Options) (*
 		quit:    make(chan struct{}),
 	}
 	if opts.LogPath != "" {
-		entries, w, err := openFrameLog[logEntry](opts.LogPath)
+		entries, w, err := openLog[logEntry](opts.LogPath, logMagic)
 		if err != nil {
 			return nil, err
 		}
@@ -271,9 +274,9 @@ func New(self string, peers []string, send Sender, apply Apply, opts Options) (*
 		// guarantee; see the package comment). Stale votes — instances already
 		// applied or below the floor — are dropped here and removed from the
 		// file at the next compaction.
-		votes, aw, err := openFrameLog[accEntry](opts.LogPath + ".acc")
+		votes, aw, err := openLog[accEntry](opts.LogPath+".acc", accMagic)
 		if err != nil {
-			n.log.close()
+			_ = n.log.Close()
 			return nil, err
 		}
 		n.acc = aw
@@ -292,6 +295,76 @@ func New(self string, peers []string, send Sender, apply Apply, opts Options) (*
 		}
 	}
 	return n, nil
+}
+
+// Two durable files back a consensus node (both optional, both rooted at
+// Options.LogPath), each a magic header plus frames in the shared on-disk
+// format (package frame), one gob-encoded entry per frame:
+//
+//   - the applied log (LogPath itself): every applied entry in instance
+//     order, so a restarted member rebuilds its applied control-plane state
+//     offline and catches up only the suffix from its peers. Writes are not
+//     fsynced — losing the tail only means a longer catch-up, never
+//     divergence, because every entry here was already agreed by a majority.
+//   - the acceptor log (LogPath + ".acc"): this member's per-instance votes
+//     (highest promised ballot, highest accepted ballot and value), appended
+//     BEFORE the matching Promise/Accepted reply leaves and fsynced, because
+//     a vote another member may already have counted towards a quorum must
+//     survive this member's crash — forgetting it would let a restarted
+//     member re-promise or re-accept conflictingly and break quorum
+//     intersection. Latest entry per instance wins on replay; the file is
+//     compacted once enough dead (decided or GC'd) entries accumulate.
+//
+// Write errors are swallowed: a member that cannot persist still runs — the
+// applied log is an optimisation, and an unpersisted vote only matters if
+// this member ALSO crashes before the round ends, which the torn-tail replay
+// treats as the vote never having been made durable at all. A file with a
+// foreign header is refused (New fails) rather than truncated.
+const (
+	logMagic = "p2pclg01" // applied log header
+	accMagic = "p2pacc01" // acceptor log header
+)
+
+// logEntry is one applied instance in the applied log. A Kind "snapshot"
+// entry is a state-transfer marker instead: it records that entries up to
+// Instance were skipped and Cmd.Text carries the Options.Restore state.
+type logEntry struct {
+	Instance uint64
+	Cmd      wire.Command
+}
+
+// accEntry is one acceptor vote in the acceptor log: the full per-instance
+// acceptor state at the moment of the vote (not a delta), so replay just
+// keeps the last entry per instance.
+type accEntry struct {
+	Instance  uint64
+	Promised  uint64
+	AccBallot uint64
+	HasVal    bool
+	Val       wire.Command
+}
+
+// openLog replays the entries of one durable file and returns it open for
+// appending after them; replay ends at the first torn or undecodable frame.
+func openLog[T any](path, magic string) ([]T, *frame.Log, error) {
+	var entries []T
+	l, err := frame.OpenLog(path, magic, func(payload []byte) error {
+		var e T
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
+			return err
+		}
+		entries = append(entries, e)
+		return nil
+	})
+	return entries, l, err
+}
+
+// encodeEntry renders one entry as a standalone gob blob. Both entry types
+// hold only strings and integers, which gob always encodes.
+func encodeEntry(e any) []byte {
+	var buf bytes.Buffer
+	_ = gob.NewEncoder(&buf).Encode(e)
+	return buf.Bytes()
 }
 
 // snapshotMarker is the Command.Kind of the applied log's state-transfer
@@ -317,8 +390,8 @@ func (n *Node) Close() {
 	n.mu.Unlock()
 	close(n.quit)
 	n.wg.Wait()
-	n.log.close()
-	n.acc.close()
+	_ = n.log.Close()
+	_ = n.acc.Close()
 }
 
 // Self returns the member name.
@@ -800,26 +873,26 @@ func (n *Node) persistVoteLocked(instance uint64, in *inst) {
 	if n.acc == nil {
 		return
 	}
-	n.acc.append(accEntry{
+	_ = n.acc.Append(encodeEntry(accEntry{
 		Instance:  instance,
 		Promised:  in.promised,
 		AccBallot: in.accBallot,
 		HasVal:    in.accBallot > 0,
 		Val:       in.accVal,
-	}, true)
+	}), true) // a failed write is not fatal: see logMagic
 	const compactAt = 4096
-	if n.acc.count < compactAt {
+	if n.acc.Count() < compactAt {
 		return
 	}
-	var live []accEntry
+	var live [][]byte
 	for i, st := range n.insts {
 		if i <= n.floor || st.decided || (st.promised == 0 && st.accBallot == 0) {
 			continue
 		}
-		live = append(live, accEntry{Instance: i, Promised: st.promised,
-			AccBallot: st.accBallot, HasVal: st.accBallot > 0, Val: st.accVal})
+		live = append(live, encodeEntry(accEntry{Instance: i, Promised: st.promised,
+			AccBallot: st.accBallot, HasVal: st.accBallot > 0, Val: st.accVal}))
 	}
-	n.acc.rewrite(live)
+	_ = n.acc.Rewrite(live) // on error the uncompacted log stays valid
 }
 
 func (n *Node) recordPromise(from string, m wire.Promise) {
@@ -968,7 +1041,7 @@ func (n *Node) applyLoop() {
 				break
 			}
 			for i, cmd := range batch {
-				n.log.append(logEntry{Instance: first + uint64(i), Cmd: cmd}, false)
+				_ = n.log.Append(encodeEntry(logEntry{Instance: first + uint64(i), Cmd: cmd}), false)
 				n.apply(first+uint64(i), cmd)
 			}
 		}
@@ -1003,8 +1076,8 @@ func (n *Node) installSnapshotLocked() *wire.Snapshot {
 	}
 	n.done[n.self] = n.applied
 	n.mu.Unlock()
-	n.log.rewrite([]logEntry{{Instance: s.Through,
-		Cmd: wire.Command{Kind: snapshotMarker, Text: string(s.State)}}})
+	_ = n.log.Rewrite([][]byte{encodeEntry(logEntry{Instance: s.Through,
+		Cmd: wire.Command{Kind: snapshotMarker, Text: string(s.State)}})})
 	return s
 }
 

@@ -3,11 +3,14 @@ package consensus
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -573,6 +576,120 @@ func TestRestartHonoursDurableVotes(t *testing.T) {
 	n.Handle(wire.Envelope{From: "C", To: "B", Msg: wire.Prepare{Instance: 1, Ballot: 9}})
 	if p, ok := last().(wire.Promise); !ok || !p.OK || !p.HasVal || p.AccBallot != 5 || p.Val != val {
 		t.Fatalf("restarted acceptor lost its durable accepted value: %+v", last())
+	}
+}
+
+// vote is the durable part of one acceptor instance.
+type vote struct {
+	promised, accBallot uint64
+	accVal              wire.Command
+}
+
+func nodeVotes(n *Node) map[uint64]vote {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := map[uint64]vote{}
+	for i, in := range n.insts {
+		out[i] = vote{in.promised, in.accBallot, in.accVal}
+	}
+	return out
+}
+
+// TestAcceptorLogCorruptTailReplaysPrefix damages the last vote in the
+// acceptor log — cut at every byte offset, and each of its bits flipped in
+// turn — and restarts the member: it must restore exactly the votes before
+// the damaged one, never a different vote. The frame checksum is what makes
+// this hold; a decodable-but-wrong entry would hand a restarted acceptor a
+// promise or an accepted value it never made.
+func TestAcceptorLogCorruptTailReplaysPrefix(t *testing.T) {
+	opts := fastOpts()
+	opts.LogPath = filepath.Join(t.TempDir(), "B.control.log")
+	send := func(string, wire.Message) error { return nil }
+	mk := func() *Node {
+		n, err := New("B", []string{"A", "B", "C"}, send, func(uint64, wire.Command) {}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n := mk()
+	val1 := wire.Command{Kind: "member", Origin: "A", Seq: 7, Node: "X"}
+	val2 := wire.Command{Kind: "addRule", Origin: "C", Seq: 17, Text: "r: A:a(X,Y) -> B:b(X,Y)"}
+	for _, m := range []wire.Message{
+		wire.Prepare{Instance: 1, Ballot: 5},
+		wire.Accept{Instance: 1, Ballot: 5, Val: val1},
+		wire.Prepare{Instance: 17, Ballot: 7},
+	} {
+		n.Handle(wire.Envelope{From: "A", To: "B", Msg: m})
+	}
+	prefix := nodeVotes(n)
+	n.Handle(wire.Envelope{From: "C", To: "B", Msg: wire.Accept{Instance: 17, Ballot: 7, Val: val2}})
+	full := nodeVotes(n)
+	n.Close()
+
+	accPath := opts.LogPath + ".acc"
+	orig, err := os.ReadFile(accPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(accMagic) // offset of the last frame
+	for off := last; off < len(orig); off += 8 + int(binary.LittleEndian.Uint32(orig[off:])) {
+		last = off
+	}
+	check := func(label string, data []byte, want map[uint64]vote) {
+		t.Helper()
+		if err := os.WriteFile(accPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := mk()
+		got := nodeVotes(n)
+		n.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: restored votes %+v, want %+v", label, got, want)
+		}
+	}
+	check("intact log", orig, full)
+	for cut := last; cut < len(orig); cut++ {
+		check(fmt.Sprintf("cut at byte %d of %d", cut, len(orig)), orig[:cut], prefix)
+	}
+	for bit := last * 8; bit < len(orig)*8; bit++ {
+		data := append([]byte(nil), orig...)
+		data[bit/8] ^= 1 << (bit % 8)
+		check(fmt.Sprintf("bit %d flipped", bit), data, prefix)
+	}
+}
+
+// TestRefusesForeignLogFile: a non-empty applied or acceptor log without
+// this format's header — here a vote in the older checksum-less layout, a
+// bare length prefix and a gob blob — makes New fail with an error naming
+// the file and leaves the file as it was, instead of reading it as torn at
+// byte 0 and truncating durable votes away.
+func TestRefusesForeignLogFile(t *testing.T) {
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(accEntry{Instance: 3, Promised: 9}); err != nil {
+		t.Fatal(err)
+	}
+	data := binary.LittleEndian.AppendUint32(nil, uint32(blob.Len()))
+	data = append(data, blob.Bytes()...)
+	for _, suffix := range []string{"", ".acc"} {
+		opts := fastOpts()
+		opts.LogPath = filepath.Join(t.TempDir(), "B.control.log")
+		path := opts.LogPath + suffix
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, err := New("B", []string{"A", "B", "C"}, func(string, wire.Message) error { return nil },
+			func(uint64, wire.Command) {}, opts)
+		if err == nil {
+			n.Close()
+			t.Fatalf("%s: New accepted a foreign log", path)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("error %q does not name %s", err, path)
+		}
+		if b, _ := os.ReadFile(path); !bytes.Equal(b, data) {
+			t.Errorf("%s: refused log was modified", path)
+		}
 	}
 }
 

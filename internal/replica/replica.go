@@ -22,7 +22,6 @@ package replica
 
 import (
 	"bytes"
-	"encoding/gob"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -113,13 +112,12 @@ type destStream struct {
 
 // primary is one node whose relations this member ships outward.
 type primary struct {
-	node      string
-	db        *storage.DB
-	stateFn   func() wal.State // live protocol state (nil: no state shipping)
-	dests     map[string]*destStream
-	lastShip  time.Time // last state-ship attempt
-	stateSeq  uint64    // monotonic protocol-state ship counter
-	stateBlob []byte    // last encoded state (recomputed each StateEvery)
+	node     string
+	db       *storage.DB
+	stateFn  func() wal.State // live protocol state (nil: no state shipping)
+	dests    map[string]*destStream
+	lastShip time.Time // last state-ship attempt
+	stateSeq uint64    // monotonic protocol-state ship counter
 }
 
 // mirror is one node whose relations this member replicates inward.
@@ -274,11 +272,8 @@ func (m *Manager) Promote(node string) (*storage.DB, *wal.Store, *wal.State, err
 	blob := mi.state
 	m.mu.Unlock()
 	var restore *wal.State
-	if len(blob) > 0 {
-		var st wal.State
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err == nil {
-			restore = &st
-		}
+	if st, err := wal.DecodeState(blob); err == nil {
+		restore = &st
 	}
 	return mi.db, mi.st, restore, nil
 }
@@ -532,7 +527,7 @@ func (m *Manager) flushOnce() {
 			}
 			if shipState {
 				if blob == nil {
-					blob = encodeState(p.stateFn())
+					blob, _ = wal.EncodeState(p.stateFn()) // nil on error: nothing ships
 				}
 				if len(blob) > 0 && !bytes.Equal(blob, d.lastState) {
 					d.lastState = blob
@@ -618,7 +613,7 @@ func (m *Manager) openMirrorLocked(node string) (*mirror, error) {
 			// A previous lifetime promoted this mirror and the adopted peer
 			// wrote its protocol state into this store; surface it so a boot
 			// re-adoption restores subscriptions instead of starting unprimed.
-			mi.state = encodeState(rec.State)
+			mi.state, _ = wal.EncodeState(rec.State) // nil on error: adopts unprimed
 		}
 		// Attach logs every applied insert; recovery above already replayed
 		// the previous lifetime's log into the database, so the durable
@@ -737,12 +732,4 @@ func marksSum(m storage.Marks) uint64 {
 		n += v
 	}
 	return n
-}
-
-func encodeState(st wal.State) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil
-	}
-	return buf.Bytes()
 }

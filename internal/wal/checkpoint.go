@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/frame"
 	"repro/internal/relalg"
 	"repro/internal/storage"
 )
@@ -79,77 +80,49 @@ func (s *Store) prune(coversBelow, keepSnap uint64) {
 	}
 }
 
-// writeSnapshot renders one snapshot file atomically (tmp + rename + dir
-// fsync). Layout: magic, snap-header record (coverage boundary), a schema
-// record per relation in declaration order, a bulk relation record per
-// non-empty relation (tuples in log order, so replayed sequence numbers are
+// writeSnapshot renders one snapshot file atomically (frame.ReplaceFile).
+// Layout: magic, snap-header record (coverage boundary), a schema record per
+// relation in declaration order, a bulk relation record per non-empty
+// relation (tuples in log order, so replayed sequence numbers are
 // reproduced exactly), the protocol state, and an end marker whose presence
 // distinguishes a complete snapshot from a torn one. rels is a private
 // clone (storage.DB.Snapshot); a schema with no entry was declared after
 // the cut and its tuples live in the still-active segment.
 func writeSnapshot(dir string, counter, coversBelow uint64, schemas []relalg.Schema, rels map[string]*relalg.Relation, st State) error {
-	tmp := snapshotPath(dir, counter) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	discard := func(err error) error {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	if _, err := w.WriteString(snapMagic); err != nil {
-		return discard(err)
-	}
-	head := appendUvarint([]byte{recSnapHead}, coversBelow)
-	if err := writeFrame(w, head); err != nil {
-		return discard(err)
-	}
-	for _, sch := range schemas {
-		if err := writeFrame(w, encodeSchema(sch)); err != nil {
-			return discard(err)
+	return frame.ReplaceFile(snapshotPath(dir, counter), func(w io.Writer) error {
+		if _, err := io.WriteString(w, snapMagic); err != nil {
+			return err
 		}
-	}
-	for _, sch := range schemas {
-		rel := rels[sch.Name]
-		if rel == nil || rel.Len() == 0 {
-			continue
+		if err := frame.Write(w, appendUvarint([]byte{recSnapHead}, coversBelow)); err != nil {
+			return err
 		}
-		payload := appendString([]byte{recRelation}, sch.Name)
-		payload, err := appendTuples(payload, rel.All())
+		for _, sch := range schemas {
+			if err := frame.Write(w, encodeSchema(sch)); err != nil {
+				return err
+			}
+		}
+		for _, sch := range schemas {
+			rel := rels[sch.Name]
+			if rel == nil || rel.Len() == 0 {
+				continue
+			}
+			payload, err := appendTuples(appendString([]byte{recRelation}, sch.Name), rel.All())
+			if err != nil {
+				return err
+			}
+			if err := frame.Write(w, payload); err != nil {
+				return err
+			}
+		}
+		statePayload, err := encodeState(st, false)
 		if err != nil {
-			return discard(err)
+			return err
 		}
-		if err := writeFrame(w, payload); err != nil {
-			return discard(err)
+		if err := frame.Write(w, statePayload); err != nil {
+			return err
 		}
-	}
-	statePayload, err := encodeState(st, false)
-	if err != nil {
-		return discard(err)
-	}
-	if err := writeFrame(w, statePayload); err != nil {
-		return discard(err)
-	}
-	if err := writeFrame(w, []byte{recSnapEnd}); err != nil {
-		return discard(err)
-	}
-	if err := w.Flush(); err != nil {
-		return discard(err)
-	}
-	if err := f.Sync(); err != nil {
-		return discard(err)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, snapshotPath(dir, counter)); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+		return frame.Write(w, []byte{recSnapEnd})
+	})
 }
 
 // loadSnapshot reads one snapshot into a fresh database. Any framing error,
@@ -170,7 +143,7 @@ func loadSnapshot(path string) (db *storage.DB, st State, coversBelow uint64, er
 	db = storage.New()
 	sawEnd, sawHead := false, false
 	for {
-		payload, ferr := readFrame(br)
+		payload, ferr := frame.Read(br)
 		if ferr == io.EOF {
 			break
 		}

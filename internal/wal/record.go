@@ -3,22 +3,15 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"sort"
 
 	"repro/internal/relalg"
 	"repro/internal/storage"
 )
 
-// Record encoding. Every segment and snapshot is a stream of framed records:
-//
-//	[4B little-endian payload length][4B little-endian CRC-32 (IEEE) of payload][payload]
-//
-// The payload starts with a one-byte record kind. A torn write — a crash mid
-// frame — surfaces as a short read or a CRC mismatch, which recovery treats
-// as the end of the durable prefix; the frame carries no pointers, so a valid
-// prefix is always replayable on its own.
+// Record encoding. Every segment and snapshot is a magic header followed by
+// frames in the shared on-disk format (package frame: length, CRC-32,
+// payload). The payload starts with a one-byte record kind.
 
 // Record kinds.
 const (
@@ -32,54 +25,6 @@ const (
 	recPartDelta byte = 8 // newly received part tuples of one rule part
 	recSyncPoint byte = 9 // group-commit marker: everything before it reached stable storage
 )
-
-const (
-	frameOverhead = 8
-	// maxRecordBytes bounds a single record; longer length prefixes are read
-	// as corruption, so a torn length field cannot trigger a giant allocation.
-	maxRecordBytes = 1 << 28
-)
-
-var crcTable = crc32.MakeTable(crc32.IEEE)
-
-// writeFrame appends one framed record to w.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one framed record. A clean EOF at a frame boundary returns
-// io.EOF; a short frame, an implausible length, or a CRC mismatch returns
-// errTornRecord — the durable prefix ends here.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, errTornRecord
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n == 0 || n > maxRecordBytes {
-		return nil, errTornRecord
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errTornRecord
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, errTornRecord
-	}
-	return payload, nil
-}
-
-var errTornRecord = fmt.Errorf("wal: torn or corrupt record")
 
 // ---------------------------------------------------------------------------
 // Payload encoding primitives
@@ -476,4 +421,18 @@ func decodeState(r *reader) (st State, clean bool, err error) {
 		st.Parts = append(st.Parts, part)
 	}
 	return st, clean, nil
+}
+
+// EncodeState renders st as the WAL's binary state record — the payload of
+// a replication stream's ReplicaState. Marks are written sorted, so equal
+// states encode to equal bytes.
+func EncodeState(st State) ([]byte, error) { return encodeState(st, false) }
+
+// DecodeState parses an EncodeState blob.
+func DecodeState(b []byte) (State, error) {
+	if len(b) == 0 || b[0] != recState {
+		return State{}, fmt.Errorf("wal: not a state record")
+	}
+	st, _, err := decodeState(&reader{b: b[1:]})
+	return st, err
 }

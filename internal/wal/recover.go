@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
@@ -78,7 +79,7 @@ func replaySegment(path string, rec *Recovered) (int, bool, error) {
 	}
 	applied, lastClean := 0, false
 	for {
-		payload, ferr := readFrame(br)
+		payload, ferr := frame.Read(br)
 		if ferr != nil {
 			return applied, lastClean, nil // io.EOF or torn tail: prefix ends
 		}

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/frame"
 )
 
 // Segment files. The log is a sequence of append-only segment files
@@ -57,10 +59,10 @@ func createSegment(dir string, idx uint64) (*segment, error) {
 }
 
 func (s *segment) append(payload []byte) error {
-	if err := writeFrame(s.w, payload); err != nil {
+	if err := frame.Write(s.w, payload); err != nil {
 		return err
 	}
-	s.size += int64(len(payload) + frameOverhead)
+	s.size += int64(len(payload) + frame.Overhead)
 	s.recs++
 	return nil
 }
@@ -123,18 +125,4 @@ func scanDir(dir string) (dirScan, error) {
 	sort.Slice(out.segs, func(i, j int) bool { return out.segs[i] < out.segs[j] })
 	sort.Slice(out.snaps, func(i, j int) bool { return out.snaps[i] < out.snaps[j] })
 	return out, nil
-}
-
-// syncDir fsyncs the directory entry so created/renamed files survive a
-// crash of the containing directory's metadata.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/relalg"
 	"repro/internal/storage"
 )
@@ -263,7 +264,7 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := frame.SyncDir(dir); err != nil {
 		_ = s.seg.f.Close()
 		return nil, nil, err
 	}
@@ -430,7 +431,7 @@ func (s *Store) appendLocked(payload []byte) (uint64, bool) {
 	if s.closed || s.err != nil {
 		return 0, false
 	}
-	if s.seg.recs > 0 && s.seg.size+int64(len(payload)+frameOverhead) > s.opts.SegmentBytes {
+	if s.seg.recs > 0 && s.seg.size+int64(len(payload)+frame.Overhead) > s.opts.SegmentBytes {
 		if err := s.rollLocked(); err != nil {
 			s.err = err
 			return 0, false
@@ -456,7 +457,7 @@ func (s *Store) rollLocked() error {
 		return err
 	}
 	s.seg = seg
-	if err := syncDir(s.dir); err != nil {
+	if err := frame.SyncDir(s.dir); err != nil {
 		return err
 	}
 	select {

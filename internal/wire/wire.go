@@ -706,14 +706,14 @@ func (m ReplicaSyncReq) Size() int {
 	return n
 }
 
-// ReplicaState ships the primary's protocol state (a gob-encoded wal.State:
-// epoch, source-side subscription marks, part results) to its replicas, so a
-// promoted replica restores the peer's standing subscriptions and re-joins
-// delta-only instead of re-answering the world. State is shipped through the
-// same stream as the data it describes, after the data of the flush round
-// that captured it — restored marks never run ahead of the mirrored
-// relations, and the peer clamps them to its recovered sequence numbers on
-// restore anyway.
+// ReplicaState ships the primary's protocol state (wal.EncodeState's binary
+// state record: epoch, source-side subscription marks, part results) to its
+// replicas, so a promoted replica restores the peer's standing subscriptions
+// and re-joins delta-only instead of re-answering the world. State is
+// shipped through the same stream as the data it describes, after the data
+// of the flush round that captured it — restored marks never run ahead of
+// the mirrored relations, and the peer clamps them to its recovered sequence
+// numbers on restore anyway.
 type ReplicaState struct {
 	Node  string
 	Epoch uint64
